@@ -5,12 +5,10 @@ Where ``perf_prediction.py`` times the per-tick model math in
 isolation, this benchmark runs a complete experiment — simulator,
 50-VM fleet application, monitor, fault injections and the PREPARE
 controller — exactly as the campaign engine would run it, and times
-the whole cell.  Each cell is run both with the fleet-batched
-controller hot path (``PrepareConfig.fleet_batching``, the default)
-and with the per-VM reference loop, and the two runs are checked for
+the whole cell.  Each cell is first run twice and checked for
 byte-identical behaviour (violation accounting, the full action log,
 proactive counts and the SLO trace) before any timing is reported —
-a fast number from a diverged control loop is worthless.
+a fast number from a nondeterministic control loop is worthless.
 
 Run from the repo root::
 
@@ -31,8 +29,7 @@ from typing import Dict, Optional, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import format_results, interleave_calls, write_results
-from repro.core.controller import PrepareConfig
+from repro.bench import format_results, time_call, write_results
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.base import FaultKind
 
@@ -54,7 +51,7 @@ DEFAULT_SEED = 7
 DEFAULT_REPEATS = 3
 
 
-def _cell_config(name: str, seed: int, batched: bool) -> ExperimentConfig:
+def _cell_config(name: str, seed: int) -> ExperimentConfig:
     spec = CELLS[name]
     return ExperimentConfig(
         app=spec["app"],
@@ -63,7 +60,6 @@ def _cell_config(name: str, seed: int, batched: bool) -> ExperimentConfig:
         seed=seed,
         duration=spec["duration"],
         injection_count=spec["injection_count"],
-        controller=PrepareConfig(fleet_batching=batched),
     )
 
 
@@ -88,47 +84,25 @@ def run(
     seed: int = DEFAULT_SEED,
     repeats: int = DEFAULT_REPEATS,
     warmup: int = 1,
-) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
-    """Time every cell in both controller modes; verify parity first.
-
-    Returns ``(results, speedups)`` where ``speedups[cell]`` is the
-    per-VM-loop median divided by the batched median.
-    """
+) -> Dict[str, Dict[str, float]]:
+    """Time every cell; verify first that two runs decide identically."""
     results: Dict[str, Dict[str, float]] = {}
-    speedups: Dict[str, float] = {}
     for cell in cells:
-        parity = {}
-        for batched in (True, False):
-            parity[batched] = _fingerprint(
-                run_experiment(_cell_config(cell, seed, batched))
-            )
-        if parity[True] != parity[False]:
+        first, second = (
+            _fingerprint(run_experiment(_cell_config(cell, seed)))
+            for _ in range(2)
+        )
+        if first != second:
             raise AssertionError(
-                f"{cell}: fleet-batched controller diverged from the "
-                "per-VM reference loop — refusing to time a broken "
-                "hot path"
+                f"{cell}: two runs of the same seed decided differently "
+                "— refusing to time a nondeterministic control loop"
             )
-
-        def batched_cell(cell=cell):
-            run_experiment(_cell_config(cell, seed, True))
-
-        def per_vm_cell(cell=cell):
-            run_experiment(_cell_config(cell, seed, False))
-
-        # The parity runs above already warmed every code path once.
-        # Interleaved repeats keep the batched/per-VM ratio honest on
-        # hosts whose speed drifts over the seconds a cell takes.
-        results.update(interleave_calls(
-            {
-                f"{cell}/batched": batched_cell,
-                f"{cell}/per_vm_loop": per_vm_cell,
-            },
+        # The determinism runs above already warmed every code path.
+        results[cell] = time_call(
+            lambda cell=cell: run_experiment(_cell_config(cell, seed)),
             repeats=repeats, warmup=warmup,
-        ))
-        b = results[f"{cell}/batched"]["median_s"]
-        p = results[f"{cell}/per_vm_loop"]["median_s"]
-        speedups[cell] = p / b if b else float("inf")
-    return results, speedups
+        )
+    return results
 
 
 def main(argv=None) -> int:
@@ -165,13 +139,11 @@ def main(argv=None) -> int:
         repeats = args.repeats
     warmup = 0 if args.quick else 1
 
-    results, speedups = run(
-        cells=cells, seed=args.seed, repeats=repeats, warmup=warmup
-    )
+    results = run(cells=cells, seed=args.seed, repeats=repeats, warmup=warmup)
 
     end_to_end: Optional[float] = None
     if "cell50" in cells and args.reference_s > 0:
-        end_to_end = args.reference_s / results["cell50/batched"]["median_s"]
+        end_to_end = args.reference_s / results["cell50"]["median_s"]
 
     meta = {
         "benchmark": "perf_campaign",
@@ -181,16 +153,12 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "repeats": repeats,
         "quick": bool(args.quick),
-        "parity": "batched vs per-VM loop verified byte-identical",
-        "speedup_batched_vs_per_vm": speedups,
+        "determinism": "two runs per cell verified byte-identical",
         "pre_overhaul_cell50_s": args.reference_s,
         "speedup_vs_pre_overhaul": end_to_end,
     }
     write_results(args.output, results, meta)
     print(format_results({"results": results}))
-    print()
-    for cell, s in speedups.items():
-        print(f"{cell}: batched {s:.2f}x vs per-VM loop")
     if end_to_end is not None:
         print(
             f"cell50: {end_to_end:.2f}x vs pre-overhaul baseline "

@@ -92,22 +92,10 @@ def _class_log_prior(y: np.ndarray, class_prior: str, smoothing: float) -> np.nd
       while genuine attribute evidence (log-odds of a few nats) still
       dominates.
     """
-    counts = np.array([np.sum(y == NORMAL), np.sum(y == ABNORMAL)], dtype=float)
-    return _class_log_prior_from_counts(counts, y.size, class_prior, smoothing)
-
-
-def _class_log_prior_from_counts(
-    counts: np.ndarray, n_samples: int, class_prior: str, smoothing: float
-) -> np.ndarray:
-    """:func:`_class_log_prior` from accumulated class counts.
-
-    Class counts are integer-valued floats, so counts accumulated over
-    incremental chunks equal the batch counts exactly and this function
-    returns bitwise the same prior either way.
-    """
     if class_prior == "balanced":
         return np.zeros(2)
-    prior = (counts + smoothing) / (n_samples + 2.0 * smoothing)
+    counts = np.array([np.sum(y == NORMAL), np.sum(y == ABNORMAL)], dtype=float)
+    prior = (counts + smoothing) / (y.size + 2.0 * smoothing)
     log_prior = np.log(prior)
     if class_prior == "capped":
         diff = float(np.clip(log_prior[ABNORMAL] - log_prior[NORMAL],
@@ -195,89 +183,24 @@ class NaiveBayesClassifier:
         # and clipped (soft/expected path).
         self._diff_hard: Optional[np.ndarray] = None
         self._diff_soft: Optional[np.ndarray] = None
-        # Sufficient statistics for partial_fit: raw (pre-smoothing)
-        # per-class bin counts and class counts, plus the retained
-        # training set — retained only because attribute selection
-        # averages per-sample strengths, and np.mean is not an
-        # order-independent reduction, so exact selection must rescore
-        # the full concatenated history.  None after from_dict(), which
-        # is what `supports_partial_fit` reports.
-        self._raw_counts: Optional[np.ndarray] = None     # (n_attrs, 2, n_bins)
-        self._class_counts: Optional[np.ndarray] = None   # (2,)
-        self._train_X: Optional[np.ndarray] = None
-        self._train_y: Optional[np.ndarray] = None
 
     @property
     def trained(self) -> bool:
         return self._log_cpt is not None
 
-    @property
-    def supports_partial_fit(self) -> bool:
-        """True when incremental updates are possible (training
-        statistics present — a snapshot-restored classifier persists
-        only the fitted tensors and must be refit from scratch)."""
-        return self._raw_counts is not None
-
     def fit(self, X: Sequence[Sequence[int]], y: Sequence[int]) -> "NaiveBayesClassifier":
         X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        n_attrs = X.shape[1]
+        n_samples, n_attrs = X.shape
         self.n_attributes = n_attrs
-        self._raw_counts = np.zeros((n_attrs, 2, self.n_bins), dtype=float)
-        self._class_counts = np.zeros(2, dtype=float)
-        self._train_X = X.copy()
-        self._train_y = y.copy()
-        self._accumulate(X, y)
-        return self._rebuild()
 
-    def partial_fit(
-        self, X: Sequence[Sequence[int]], y: Sequence[int]
-    ) -> "NaiveBayesClassifier":
-        """Fold additional samples into the fitted classifier.
+        self._log_prior = _class_log_prior(y, self.class_prior, self.smoothing)
 
-        Bitwise-identical to :meth:`fit` on the concatenated data: the
-        raw bin/class counts are integer-valued float sums (exact in
-        any accumulation order) and every fitted tensor is recomputed
-        from those totals with the batch expressions; attribute
-        selection rescores the retained concatenated training set, so
-        its sample means match the batch fit float for float.
-        """
-        if not self.trained:
-            return self.fit(X, y)
-        if self._raw_counts is None:
-            raise RuntimeError(
-                "classifier was restored from a snapshot and has no "
-                "training statistics; use fit() on the full data"
-            )
-        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        if X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got {X.shape[1]}"
-            )
-        self._train_X = np.concatenate([self._train_X, X])
-        self._train_y = np.concatenate([self._train_y, y])
-        self._accumulate(X, y)
-        return self._rebuild()
-
-    def _accumulate(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add one chunk's raw bin counts and class counts."""
+        raw = np.zeros((n_attrs, 2, self.n_bins), dtype=float)
         for label in (NORMAL, ABNORMAL):
             rows = X[y == label]
-            self._class_counts[label] += rows.shape[0]
-            for j in range(self.n_attributes):
+            for j in range(n_attrs):
                 if rows.size:
-                    self._raw_counts[j, label, :] += np.bincount(
-                        rows[:, j], minlength=self.n_bins
-                    )
-
-    def _rebuild(self) -> "NaiveBayesClassifier":
-        """Derive every fitted tensor from the accumulated statistics
-        (exactly the batch-fit expressions, in the same order)."""
-        n_attrs = self.n_attributes
-        self._log_prior = _class_log_prior_from_counts(
-            self._class_counts, self._train_y.size,
-            self.class_prior, self.smoothing,
-        )
-        raw = self._raw_counts
+                    raw[j, label, :] += np.bincount(rows[:, j], minlength=self.n_bins)
         if self.robust:
             raw = ordinal_smooth(raw, axis=2)
         cpt = raw + self.smoothing
@@ -306,12 +229,8 @@ class NaiveBayesClassifier:
         if self.robust:
             # Selection deliberately uses the *unmasked* ratios, as the
             # per-sample scoring of the original implementation did.
-            sample_strengths = diff[
-                np.arange(n_attrs)[None, :], self._train_X
-            ]
-            self.attribute_mask = select_attributes(
-                sample_strengths, self._train_y
-            )
+            sample_strengths = diff[np.arange(n_attrs)[None, :], X]
+            self.attribute_mask = select_attributes(sample_strengths, y)
         else:
             self.attribute_mask = np.ones(n_attrs, dtype=bool)
         return self

@@ -128,20 +128,6 @@ class PrepareConfig:
     #: re-equilibrates are meaningless; suppression must end before
     #: validation matures so the validator sees fresh alert state.
     post_action_grace: float = 35.0
-    #: When True the predictive path classifies *every* horizon
-    #: 1..lookahead_steps (one batched propagation per VM via
-    #: ``predict_horizons``) and alerts on the earliest horizon whose
-    #: score clears ``alert_threshold``, instead of only the final
-    #: horizon.  Off by default: the paper evaluates a single fixed
-    #: look-ahead window.
-    horizon_sweep: bool = False
-    #: Batch the per-VM predictive / reactive classify stages into one
-    #: :class:`~repro.core.fleet.FleetScorer` call per tick (and stack
-    #: the deviation-fallback windows) instead of running the full
-    #: pipeline once per VM.  Bitwise-identical to the per-VM loop —
-    #: the equivalence tests assert it — so this is purely a hot-path
-    #: switch; False keeps the pre-batching loop (debugging aid).
-    fleet_batching: bool = True
     #: Staleness bound on last-known-good imputation, seconds.  Missing
     #: or NaN-corrupted samples are imputed from the VM's last real
     #: reading to keep the per-VM training buffers aligned, but once a
@@ -149,16 +135,6 @@ class PrepareConfig:
     #: stream is fiction: prediction for that VM is *skipped* (not
     #: aborted) until the monitor recovers.
     imputation_max_staleness: float = 30.0
-    #: Prefer exact incremental model updates at retrain time: when a
-    #: VM's new training window extends the last one (identical
-    #: localizer labels and segmentation on the prefix, discretizer
-    #: bins provably stable under the suffix) the new samples are
-    #: folded in with the models' ``partial_fit`` paths instead of
-    #: refitting from scratch.  The incremental update is
-    #: bitwise-identical to the full refit, so enabling this never
-    #: changes decisions — off by default to keep the legacy code
-    #: path byte-for-byte.
-    continuous_learning: bool = False
     #: Online drift trigger: run the workload-change discriminator
     #: (fleet-wide simultaneous change points, see
     #: :class:`~repro.core.inference.DriftDetector`) over the training
@@ -317,11 +293,8 @@ class PrepareController:
             "prepare_blackout_skips_total",
             "Predictions skipped because a VM's data was too stale",
             ("vm",))
-        # -- continuous-learning state (engages only when the config
-        # flags are on, so a default run never touches it) -------------
-        self._m_partial_updates = metrics.counter(
-            "prepare_model_partial_updates_total",
-            "Per-VM incremental model updates (partial_fit path)")
+        # -- drift-trigger state (engages only when drift_detection is
+        # on, so a default run never touches it) ----------------------
         self._m_drift = metrics.counter(
             "prepare_drift_detected_total",
             "Online drift triggers fired")
@@ -623,27 +596,10 @@ class PrepareController:
             if enough and not y_sel.all():
                 # Contiguous runs of kept rows form the Markov segments.
                 segment_ids = np.cumsum(np.diff(rows, prepend=rows[0]) > 1)
-                values_sel = per_vm_values[name][rows]
-                if self.config.continuous_learning:
-                    # Incremental path: when the new window merely
-                    # extends the last trained one (same labels on the
-                    # prefix, discretizer bins still valid), fold the
-                    # suffix into the existing models — bitwise equal
-                    # to a full refit, minus the cost of replaying
-                    # history through the chains.
-                    if self.predictors[name].partial_train(
-                        values_sel, y_sel, segment_ids=segment_ids
-                    ):
-                        self.events.emit(
-                            self._sim.now, "model_updated", vm=name,
-                            samples=int(rows.size),
-                            abnormal=int(y_sel.sum()),
-                        )
-                        self._m_partial_updates.inc()
-                        continue
                 try:
                     self.predictors[name].train(
-                        values_sel, y_sel, segment_ids=segment_ids
+                        per_vm_values[name][rows], y_sel,
+                        segment_ids=segment_ids,
                     )
                 except ValueError as exc:
                     # Pathologically fragmented training rows (every
@@ -689,68 +645,32 @@ class PrepareController:
 
     def _predictive_path(self, now: float) -> None:
         confirmed: List[Tuple[str, PredictionResult]] = []
-        batched = self.config.fleet_batching and not self.config.horizon_sweep
         eligible: List[Tuple[str, np.ndarray]] = []
         trained_names: List[str] = []
-        results: List[PredictionResult] = []
-        if batched:
-            # Gather pass: same per-VM skip bookkeeping, in the same
-            # order, as the per-VM loop below — then one fleet call.
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                trained_names.append(name)
-                if self._blacked_out(name, now):
-                    self.resilience_stats["blackout_skips"] += 1
-                    self._m_blackout_skips.inc(vm=name)
-                    continue
-                history = self.buffers[name].recent_values(
-                    predictor.history_needed
-                )
-                if history.shape[0] < predictor.history_needed:
-                    continue
-                eligible.append((name, history))
-            if not eligible:
-                return
-            steps = self.lookahead_steps
-            scorer = self._fleet_scorer(trained_names)
-            results = scorer.score(
-                [(name, history, steps) for name, history in eligible]
+        for name, predictor in self.predictors.items():
+            if not predictor.trained:
+                continue
+            trained_names.append(name)
+            if self._blacked_out(name, now):
+                # The VM's recent history is pure imputation: a
+                # forecast from frozen inputs is noise.  Skip this VM
+                # (the rest of the cluster keeps predicting) until real
+                # samples resume.
+                self.resilience_stats["blackout_skips"] += 1
+                self._m_blackout_skips.inc(vm=name)
+                continue
+            history = self.buffers[name].recent_values(
+                predictor.history_needed
             )
-        else:
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                if self._blacked_out(name, now):
-                    # The VM's recent history is pure imputation: a
-                    # forecast from frozen inputs is noise.  Skip this
-                    # VM (the rest of the cluster keeps predicting)
-                    # until real samples resume.
-                    self.resilience_stats["blackout_skips"] += 1
-                    self._m_blackout_skips.inc(vm=name)
-                    continue
-                buffer = self.buffers[name]
-                history = buffer.recent_values(predictor.history_needed)
-                if history.shape[0] < predictor.history_needed:
-                    continue
-                if self.config.horizon_sweep:
-                    horizons = predictor.predict_horizons(
-                        history, steps=self.lookahead_steps
-                    )
-                    # Earliest horizon that clears the alert margin
-                    # wins; otherwise keep the final-horizon result
-                    # (identical to the single-horizon path).
-                    result = next(
-                        (r for r in horizons
-                         if r.score > self.config.alert_threshold),
-                        horizons[-1],
-                    )
-                else:
-                    result = predictor.predict(
-                        history, steps=self.lookahead_steps
-                    )
-                eligible.append((name, history))
-                results.append(result)
+            if history.shape[0] < predictor.history_needed:
+                continue
+            eligible.append((name, history))
+        if not eligible:
+            return
+        steps = self.lookahead_steps
+        results = self._fleet_scorer(trained_names).score(
+            [(name, history, steps) for name, history in eligible]
+        )
         for (name, _history), result in zip(eligible, results):
             self._latest_results[name] = result
             self._note_strengths(name, result)
@@ -780,32 +700,22 @@ class PrepareController:
             with self.obs.span(STAGE_RETRAIN):
                 self._retrain()
         results: Dict[str, PredictionResult] = {}
-        if self.config.fleet_batching:
-            batch: List[Tuple[str, np.ndarray]] = []
-            trained_names: List[str] = []
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                trained_names.append(name)
-                current = self.buffers[name].recent_values(1)
-                if current.shape[0] == 0:
-                    continue
-                batch.append((name, current[0]))
-            if batch:
-                scorer = self._fleet_scorer(trained_names)
-                for (name, _values), result in zip(
-                    batch, scorer.classify_batch(batch)
-                ):
-                    results[name] = result
-        else:
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                buffer = self.buffers[name]
-                current = buffer.recent_values(1)
-                if current.shape[0] == 0:
-                    continue
-                results[name] = predictor.classify_current(current[0])
+        batch: List[Tuple[str, np.ndarray]] = []
+        trained_names: List[str] = []
+        for name, predictor in self.predictors.items():
+            if not predictor.trained:
+                continue
+            trained_names.append(name)
+            current = self.buffers[name].recent_values(1)
+            if current.shape[0] == 0:
+                continue
+            batch.append((name, current[0]))
+        if batch:
+            scorer = self._fleet_scorer(trained_names)
+            for (name, _values), result in zip(
+                batch, scorer.classify_batch(batch)
+            ):
+                results[name] = result
         for name, result in results.items():
             self._reactive_abnormal[name] = result.abnormal
             self._latest_results[name] = result
@@ -833,54 +743,30 @@ class PrepareController:
         """
         epoch_len, gap, ref_len = 4, 4, 12
         needed = epoch_len + gap + ref_len
-        scores: Dict[str, Tuple[float, np.ndarray]] = {}
-        if self.config.fleet_batching:
-            names: List[str] = []
-            windows: List[np.ndarray] = []
-            for name, buffer in self.buffers.items():
-                values = buffer.recent_values(needed)
-                if values.shape[0] < needed:
-                    # A VM that joined late (or lost samples) cannot be
-                    # diagnosed yet — but it must not disable the
-                    # fallback for the whole cluster: skip it, diagnose
-                    # the rest.
-                    continue
-                names.append(name)
-                windows.append(values)
-            if names:
-                # One stacked (n_vms, window, attrs) reduction; each
-                # per-VM reduction keeps its own axis, so every z row
-                # matches the per-VM computation below bitwise.
-                stacked = np.stack(windows)
-                reference = stacked[:, :ref_len, :]
-                epoch = stacked[:, -epoch_len:, :]
-                scale = np.maximum(
-                    np.maximum(reference.std(axis=1), epoch.std(axis=1)),
-                    1e-3 * np.maximum(np.abs(reference.mean(axis=1)), 1.0),
-                )
-                zs = np.abs(epoch.mean(axis=1) - reference.mean(axis=1)) / scale
-                for i, name in enumerate(names):
-                    z = zs[i]
-                    scores[name] = (float(z.max()), z)
-        else:
-            for name, buffer in self.buffers.items():
-                values = buffer.recent_values(needed)
-                if values.shape[0] < needed:
-                    # A VM that joined late (or lost samples) cannot be
-                    # diagnosed yet — but it must not disable the
-                    # fallback for the whole cluster: skip it, diagnose
-                    # the rest.
-                    continue
-                reference = values[:ref_len]
-                epoch = values[-epoch_len:]
-                scale = np.maximum(
-                    np.maximum(reference.std(axis=0), epoch.std(axis=0)),
-                    1e-3 * np.maximum(np.abs(reference.mean(axis=0)), 1.0),
-                )
-                z = np.abs(epoch.mean(axis=0) - reference.mean(axis=0)) / scale
-                scores[name] = (float(z.max()), z)
-        if not scores:
+        names: List[str] = []
+        windows: List[np.ndarray] = []
+        for name, buffer in self.buffers.items():
+            values = buffer.recent_values(needed)
+            if values.shape[0] < needed:
+                # A VM that joined late (or lost samples) cannot be
+                # diagnosed yet — but it must not disable the fallback
+                # for the whole cluster: skip it, diagnose the rest.
+                continue
+            names.append(name)
+            windows.append(values)
+        if not names:
             return {}
+        # One stacked (n_vms, window, attrs) reduction; each VM's
+        # reduction runs along its own axis, independent of the rest.
+        stacked = np.stack(windows)
+        reference = stacked[:, :ref_len, :]
+        epoch = stacked[:, -epoch_len:, :]
+        scale = np.maximum(
+            np.maximum(reference.std(axis=1), epoch.std(axis=1)),
+            1e-3 * np.maximum(np.abs(reference.mean(axis=1)), 1.0),
+        )
+        zs = np.abs(epoch.mean(axis=1) - reference.mean(axis=1)) / scale
+        scores = {name: (float(z.max()), z) for name, z in zip(names, zs)}
         top = max(score for score, _z in scores.values())
         if top < 2.0:
             return {}

@@ -35,10 +35,8 @@ class _AttributeBins:
 
     edges: np.ndarray    # interior edges, length n_bins - 1
     centers: np.ndarray  # representative value per bin, length n_bins
-    #: (min, max) of the training column, when known.  Used by
-    #: :meth:`Discretizer.stable_under` to prove that a refit on the
-    #: concatenated data would reproduce these bins bitwise; ``None``
-    #: (e.g. a snapshot predating the field) disables that fast path.
+    #: (min, max) of the training column, when known; persisted in
+    #: snapshots as ``range`` (``None`` for snapshots predating it).
     fit_range: Optional[Tuple[float, float]] = None
 
 
@@ -107,45 +105,6 @@ class Discretizer:
         centers = 0.5 * (all_edges[:-1] + all_edges[1:])
         return _AttributeBins(edges=edges, centers=centers,
                               fit_range=(lo, hi))
-
-    # ------------------------------------------------------------------
-    # Incremental-update guard
-    # ------------------------------------------------------------------
-    def stable_under(self, data: np.ndarray) -> bool:
-        """Would a refit on (training data + ``data``) keep these bins?
-
-        True only when it provably would, *bitwise*: equal-width
-        strategy, every new value finite and inside the fitted
-        ``[lo, hi]`` range of its attribute (so the concatenated min
-        and max — hence the ``linspace`` edges — are the exact same
-        floats), and constant-trained attributes staying exactly
-        constant.  Quantile bins depend on every sample, and bins
-        restored from a snapshot without fit ranges cannot be checked,
-        so both answer False and force the caller onto the full-refit
-        path.
-        """
-        if self._bins is None or self.strategy != "width":
-            return False
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2 or arr.shape[1] != len(self._bins):
-            return False
-        for j, bins in enumerate(self._bins):
-            if bins.fit_range is None:
-                return False
-            lo, hi = bins.fit_range
-            col = arr[:, j]
-            if not np.isfinite(col).all():
-                return False
-            if hi - lo < 1e-12:
-                # Constant-trained: any deviation at all would flip the
-                # refit out of (or shift) the constant branch.
-                if col.size and (col != lo).any():
-                    return False
-            elif col.size and (col.min() < lo or col.max() > hi):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # Transform

@@ -6,26 +6,28 @@ This is the shared engine behind both consumers of fleet batching:
   micro-batching dispatcher coalesces samples from many connections
   into one :class:`FleetScorer` call, and
 * the **offline controller** (:mod:`repro.core.controller`), whose
-  predictive and reactive paths score every monitored VM each tick and
-  batch those per-VM pipeline calls into a single fleet contraction.
+  predictive and reactive paths score every monitored VM each tick
+  with a single fleet contraction.
 
 :class:`FleetScorer` concatenates every VM's per-attribute Markov
 chains into a single :class:`~repro.core.predictor.
-BatchedAttributeChains` (``total_attrs = Σ n_attrs``) and — when every
-VM carries a TAN classifier — also stacks the discretizer edges and
-classifier tensors, precomputing a k-step *horizon operator* per
-look-ahead so a mixed-VM batch is scored with a handful of fleet-wide
-gathers and einsums instead of one full pipeline pass per sample.
+BatchedAttributeChains` (``total_attrs = Σ n_attrs``) and stacks the
+discretizer edges and classifier tensors alongside, precomputing a
+k-step *horizon operator* per look-ahead so a mixed-VM batch is scored
+with a handful of fleet-wide gathers and einsums instead of one full
+pipeline pass per sample.  Naive Bayes enters the stack as a TAN with
+no attribute parents: every attribute is a root, and its ``(a, b)``
+difference rows are broadcast along the parent axis.
 
-Every tier is bitwise-identical to the per-VM code path
-(:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
-classify_current`): the stacked einsum reductions are independent
+There are two tiers.  The **fast tier** runs whenever the chains
+stack (one Markov variant and state count across the fleet) and no
+model was refit since stacking; otherwise the **sequential tier**
+calls each VM's own pipeline.  Both are bitwise-identical to
+:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
+classify_current`: the stacked einsum reductions are independent
 along the attribute axis, and per-VM reductions keep their shapes.
-The scorer falls back tier by tier — stacked chains with per-VM
-classification, then fully sequential — whenever stacking is
-impossible (mixed chain variants, naive classifiers) or any model was
-refit since stacking.  ``serve_check.py``, the replay harness and the
-controller equivalence tests assert the parity end to end.
+``serve_check.py``, the replay harness and the controller parity
+tests assert it end to end.
 """
 
 from __future__ import annotations
@@ -47,14 +49,34 @@ from repro.core.tan import TANClassifier
 __all__ = ["FleetScorer"]
 
 
+def _tan_view(clf) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(diff_soft, diff_hard, parent_or_self, is_root)`` of a
+    classifier in TAN form, both difference tensors ``(a, b, b)``.
+
+    Naive Bayes is TAN with no attribute parents: every attribute is a
+    root (its own pseudo-parent) and its ``(a, b)`` rows are broadcast
+    along the parent axis.
+    """
+    if isinstance(clf, TANClassifier):
+        return (clf._diff_soft, clf._diff_hard, clf._parent_or_self,
+                clf.parents < 0)
+    a, b = clf._diff_soft.shape
+    return (
+        np.broadcast_to(clf._diff_soft[:, None, :], (a, b, b)),
+        np.broadcast_to(clf._diff_hard[:, None, :], (a, b, b)),
+        np.arange(a),
+        np.ones(a, dtype=bool),
+    )
+
+
 @dataclass
 class _FastTensors:
-    """Fleet-stacked scoring state for the TAN fast path.
+    """Fleet-stacked scoring state for the fast tier.
 
     Everything an arriving batch needs, concatenated along one global
     attribute axis (``A = Σ per-VM attrs``): discretizer edges for the
-    batched transform, the per-attribute TAN difference tensors and
-    tree metadata for stacked classification, and the identity of the
+    batched transform, the per-attribute difference tensors and tree
+    metadata for stacked classification, and the identity of the
     source arrays so a refit anywhere invalidates the stack.
     """
 
@@ -125,40 +147,37 @@ class FleetScorer:
 
     @property
     def stacked(self) -> bool:
-        """True while the fleet-wide chain operator is usable."""
+        """True while the fast tier is usable: the fleet stacked and
+        no chain, classifier or discretizer was refit since."""
         return (
-            self._stacked is not None
+            self._fast is not None
             and self._stacked.fresh()
             and all(
                 len(predictor.value_models) == len(ref)
                 and all(a is b for a, b in zip(predictor.value_models, ref))
                 for predictor, ref in self._chain_refs
             )
+            and self._fast.current()
         )
 
-    def _build_fast(self) -> Optional[_FastTensors]:
+    def _build_fast(self) -> _FastTensors:
         order = sorted(self.predictors)
         classifiers = [self.predictors[vm].classifier for vm in order]
-        if not all(isinstance(clf, TANClassifier) for clf in classifiers):
-            return None
         discretizers = [self.predictors[vm].discretizer for vm in order]
-        diff_soft = np.concatenate([clf._diff_soft for clf in classifiers])
+        soft, hard, parent, root = zip(
+            *(_tan_view(clf) for clf in classifiers)
+        )
+        diff_soft = np.concatenate(soft)
         return _FastTensors(
             edges=np.stack([
                 bins.edges
                 for disc in discretizers for bins in disc._bins
             ]),
             diff_soft=diff_soft,
-            diff_hard=np.concatenate(
-                [clf._diff_hard for clf in classifiers]
-            ),
+            diff_hard=np.concatenate(hard),
             root_row=np.ascontiguousarray(diff_soft[:, 0, :]),
-            rel_parent=np.concatenate(
-                [clf._parent_or_self for clf in classifiers]
-            ),
-            is_root=np.concatenate(
-                [clf.parents < 0 for clf in classifiers]
-            ),
+            rel_parent=np.concatenate(parent),
+            is_root=np.concatenate(root),
             mask=np.concatenate(
                 [clf.attribute_mask for clf in classifiers]
             ),
@@ -172,7 +191,7 @@ class FleetScorer:
         )
 
     def refresh(self) -> bool:
-        """Incrementally re-stack VMs whose models were refit in place.
+        """Re-stack, in place, the VMs whose models were refit.
 
         The online controller retrains a handful of VMs every few
         ticks; rebuilding the whole fleet stack (and its horizon
@@ -180,65 +199,48 @@ class FleetScorer:
         This repairs only the stale VMs' tensor rows — chains, fast-
         tier classifier slices and any cached horizon operators — and
         returns ``True`` when the scorer is fully current afterwards.
-        ``False`` means incremental repair is impossible (membership,
-        shape or variant changed, or the fleet was never stacked) and
-        the caller should build a fresh scorer.
+        ``False`` means repair is impossible (membership, shape or
+        variant changed, or the fleet was never stacked) and the
+        caller should build a fresh scorer.
         """
-        if self._stacked is None:
+        if self._fast is None:
             return False
-        order = sorted(self.predictors)
-        stale: List[int] = []
-        for i, vm in enumerate(order):
+        for i, vm in enumerate(sorted(self.predictors)):
             predictor = self.predictors[vm]
             _, chain_ref = self._chain_refs[i]
-            sl_vm = self._slices[vm]
-            chains_current = (
+            clf, diff_ref = self._fast.clf_refs[i]
+            disc, bins_ref = self._fast.disc_refs[i]
+            if (
                 len(predictor.value_models) == len(chain_ref)
                 and all(
                     a is b for a, b in zip(predictor.value_models, chain_ref)
                 )
-                # Identity alone misses incremental updates: partial_fit
-                # mutates the chain in place (same object, bumped
-                # version), leaving the stacked tensor rows stale.
-                and self._stacked.fresh_slice(
-                    int(sl_vm[0]), int(sl_vm[-1]) + 1
-                )
-            )
-            fast_current = self._fast is None or (
-                self._fast.clf_refs[i][0] is predictor.classifier
-                and self._fast.clf_refs[i][0]._diff_soft
-                is self._fast.clf_refs[i][1]
-                and self._fast.disc_refs[i][0] is predictor.discretizer
-                and self._fast.disc_refs[i][0]._bins
-                is self._fast.disc_refs[i][1]
-            )
-            if chains_current and fast_current:
+                and clf is predictor.classifier
+                and clf._diff_soft is diff_ref
+                and disc is predictor.discretizer
+                and disc._bins is bins_ref
+            ):
                 continue
-            if not predictor.trained:
-                return False
             sl = self._slices[vm]
-            if len(predictor.value_models) != sl.shape[0]:
+            if (
+                not predictor.trained
+                or len(predictor.value_models) != sl.shape[0]
+            ):
                 return False
-            stale.append(i)
-        for i in stale:
-            vm = order[i]
-            predictor = self.predictors[vm]
-            sl = self._slices[vm]
             start, stop = int(sl[0]), int(sl[-1]) + 1
             try:
                 self._stacked.restack(start, predictor.value_models)
             except ValueError:
                 return False
             self._chain_refs[i] = (predictor, tuple(predictor.value_models))
-            if self._fast is not None and not self._refresh_fast(
-                i, vm, predictor, start, stop
-            ):
+            if not self._refresh_fast(i, vm, predictor, start, stop):
                 return False
             for steps, operator in self._horizon_cache.items():
                 operator[start:stop] = self._horizon_for(
                     self._stacked._tensor[start:stop], steps
                 )
-        return True
+        # Chains updated in place (same objects) are not repaired.
+        return self.stacked
 
     def _refresh_fast(
         self,
@@ -251,21 +253,20 @@ class FleetScorer:
         """Repair one VM's rows of the fast-tier tensors in place."""
         fast = self._fast
         clf = predictor.classifier
-        if not isinstance(clf, TANClassifier):
-            return False
         disc = predictor.discretizer
+        diff_soft, diff_hard, parent, root = _tan_view(clf)
         edges = np.stack([bins.edges for bins in disc._bins])
         if (
             edges.shape != fast.edges[start:stop].shape
-            or clf._diff_soft.shape != fast.diff_soft[start:stop].shape
+            or diff_soft.shape != fast.diff_soft[start:stop].shape
         ):
             return False
         fast.edges[start:stop] = edges
-        fast.diff_soft[start:stop] = clf._diff_soft
-        fast.diff_hard[start:stop] = clf._diff_hard
-        fast.root_row[start:stop] = clf._diff_soft[:, 0, :]
-        fast.rel_parent[start:stop] = clf._parent_or_self
-        fast.is_root[start:stop] = clf.parents < 0
+        fast.diff_soft[start:stop] = diff_soft
+        fast.diff_hard[start:stop] = diff_hard
+        fast.root_row[start:stop] = diff_soft[:, 0, :]
+        fast.rel_parent[start:stop] = parent
+        fast.is_root[start:stop] = root
         fast.mask[start:stop] = clf.attribute_mask
         fast.prior_diff[vm] = float(
             clf._log_prior[TAN_ABNORMAL] - clf._log_prior[TAN_NORMAL]
@@ -341,16 +342,10 @@ class FleetScorer:
         by_steps: Dict[int, List[int]] = {}
         for i, (_, _, steps) in enumerate(batch):
             by_steps.setdefault(steps, []).append(i)
-        fast = self._fast if (
-            self._fast is not None and self._fast.current()
-        ) else None
         for steps, positions in by_steps.items():
             if steps < 1:
                 raise ValueError(f"steps must be >= 1, got {steps}")
-            if fast is not None:
-                self._score_fast(batch, positions, steps, results)
-            else:
-                self._score_stacked(batch, positions, steps, results)
+            self._score_fast(batch, positions, steps, results)
         return results  # type: ignore[return-value]
 
     def classify_batch(
@@ -367,14 +362,12 @@ class FleetScorer:
         reduce the same contiguous 13-element rows the scalar
         ``log_odds`` path reduces.
         """
-        fast = self._fast if (
-            self._fast is not None and self._fast.current()
-        ) else None
-        if fast is None:
+        if not self.stacked:
             return [
                 self.predictors[vm].classify_current(values)
                 for vm, values in batch
             ]
+        fast = self._fast
         values = []
         attr_idx = []
         bounds = [0]
@@ -457,7 +450,7 @@ class FleetScorer:
         steps: int,
         results: List[Optional[PredictionResult]],
     ) -> None:
-        """TAN fast tier: one batched transform, one horizon-operator
+        """Fast tier: one batched transform, one horizon-operator
         gather, and two fleet-wide classifier einsums per group."""
         fast = self._fast
         values, sel, bounds = self._gather_group(batch, positions)
@@ -514,41 +507,3 @@ class FleetScorer:
                 attributes=predictor.attributes,
                 steps=steps,
             )
-
-    def _score_stacked(
-        self,
-        batch: Sequence[Tuple[str, np.ndarray, int]],
-        positions: List[int],
-        steps: int,
-        results: List[Optional[PredictionResult]],
-    ) -> None:
-        """Middle tier: stacked chain propagation, per-VM transform
-        and classification (used when classifiers cannot be stacked)."""
-        histories = []
-        attr_idx = []
-        bounds = [0]
-        for i in positions:
-            vm, recent, _ = batch[i]
-            predictor = self.predictors[vm]
-            binned = predictor.discretizer.transform(
-                np.asarray(recent, dtype=float)
-            )
-            histories.append(binned[-self._stacked.history_needed:])
-            attr_idx.append(self._slices[vm])
-            bounds.append(bounds[-1] + len(self._slices[vm]))
-        final = self._stacked.predict_subset(
-            np.concatenate(histories, axis=1),
-            np.concatenate(attr_idx),
-            steps,
-        )[-1]
-        for j, i in enumerate(positions):
-            vm = batch[i][0]
-            predictor = self.predictors[vm]
-            dists = final[bounds[j]:bounds[j + 1]]
-            bins = tuple(int(b) for b in expected_bins(dists))
-            if predictor.prediction_mode == "hard":
-                results[i] = predictor._classify(bins, steps=steps)
-            else:
-                results[i] = predictor._classify_soft(
-                    list(dists), bins, steps
-                )

@@ -93,11 +93,6 @@ class MarkovModel:
             (self._n_condition_states(), n_states), dtype=float
         )
         self._trained = False
-        #: Trailing states of the most recent stream seen by
-        #: fit/update/partial_fit — the conditioning context needed to
-        #: stitch the next :meth:`partial_fit` chunk onto the stream
-        #: without losing (or double-counting) boundary transitions.
-        self._tail = np.empty(0, dtype=np.intp)
         #: Cached smoothed transition matrix; None = dirty (counts have
         #: changed since it was last built).
         self._matrix_cache: Optional[np.ndarray] = None
@@ -124,7 +119,6 @@ class MarkovModel:
         """Train from scratch on a discrete state sequence."""
         self._counts[:] = 0.0
         self._trained = False
-        self._tail = np.empty(0, dtype=np.intp)
         self._invalidate_cache()
         return self.update(sequence)
 
@@ -146,33 +140,6 @@ class MarkovModel:
             np.add.at(self._counts, (rows, nxt), 1.0)
             self._invalidate_cache()
             self._trained = True
-        if seq.size:
-            self._tail = seq[-self.history_needed:].copy()
-        return self
-
-    def partial_fit(self, sequence: Sequence[int]) -> "MarkovModel":
-        """Continue the most recent stream with additional observations.
-
-        Unlike :meth:`update`, the new chunk is treated as the direct
-        continuation of the last sequence seen by :meth:`fit`,
-        :meth:`update` or :meth:`partial_fit`: the stored tail (the
-        trailing :attr:`history_needed` states of that stream) is
-        prepended, so transitions spanning the chunk boundary are
-        counted exactly once.  ``fit(a); partial_fit(b)`` is therefore
-        bitwise-identical to ``fit(a + b)`` — counts are integer-valued
-        float additions (exact in any order) and everything else is a
-        deterministic function of the counts.
-        """
-        seq = self._validate(sequence)
-        if not seq.size:
-            return self
-        stitched = np.concatenate([self._tail, seq])
-        if stitched.size > self.history_needed:
-            rows, nxt = self._extract_transitions(stitched)
-            np.add.at(self._counts, (rows, nxt), 1.0)
-            self._invalidate_cache()
-            self._trained = True
-        self._tail = stitched[-self.history_needed:].copy()
         return self
 
     def _invalidate_cache(self) -> None:

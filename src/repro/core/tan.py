@@ -50,7 +50,6 @@ from repro.core.bayes import (
     STRENGTH_CLIP,
     NotTrainedError,
     _class_log_prior,
-    _class_log_prior_from_counts,
     check_training_data,
     ordinal_smooth,
     select_attributes,
@@ -105,32 +104,10 @@ class TANClassifier:
         self._root_idx: Optional[np.ndarray] = None
         self._child_idx: Optional[np.ndarray] = None
         self._root_diff_soft: Optional[np.ndarray] = None
-        # Incremental-training state.  The retained training set is
-        # kept from fit() on (attribute selection averages per-sample
-        # strengths, which only matches the batch fit when rescored
-        # over the full history); the pairwise sufficient statistics
-        # are big — (2, a, a, b, b) — so they are materialized lazily
-        # on the first partial_fit() rather than on every fit().
-        self._train_X: Optional[np.ndarray] = None
-        self._train_y: Optional[np.ndarray] = None
-        self._joint_counts: Optional[np.ndarray] = None   # (2, a, a, b, b)
-        self._marg_counts: Optional[np.ndarray] = None    # (2, a, b)
-        self._class_counts: Optional[np.ndarray] = None   # (2,)
-        #: How many partial_fit() calls re-selected a different tree
-        #: (CMI rankings changed); CPT counts accumulate in place
-        #: either way.
-        self.structure_changes = 0
 
     @property
     def trained(self) -> bool:
         return self._log_cpt is not None
-
-    @property
-    def supports_partial_fit(self) -> bool:
-        """True when incremental updates are possible (the training
-        history is retained — a snapshot-restored classifier persists
-        only the fitted tensors and must be refit from scratch)."""
-        return self._train_X is not None
 
     # ------------------------------------------------------------------
     # Structure learning
@@ -229,12 +206,6 @@ class TANClassifier:
         X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
         n_samples, n_attrs = X.shape
         self.n_attributes = n_attrs
-        self._train_X = X.copy()
-        self._train_y = y.copy()
-        # Pairwise statistics are rebuilt lazily on the next partial_fit.
-        self._joint_counts = None
-        self._marg_counts = None
-        self._class_counts = None
 
         onehot = (X[:, :, None] == np.arange(self.n_bins)).astype(float)
         cmi = self._conditional_mutual_information(X, y, onehot)
@@ -256,25 +227,7 @@ class TANClassifier:
                 pair_counts[label] = np.einsum(
                     "map,mac->apc", oh[:, parent_or_self], oh
                 )
-        self._fit_tables(parent_or_self, marg_counts, pair_counts)
-        # Attribute selection (as in Cohen et al. [12]): keep only
-        # attributes whose strengths separate the classes on the
-        # training set itself.
-        self.attribute_mask = np.ones(n_attrs, dtype=bool)
-        if self.robust:
-            sample_strengths = self._raw_strengths_batch(X)
-            self.attribute_mask = select_attributes(sample_strengths, y)
-        return self
 
-    def _fit_tables(
-        self, parent_or_self: np.ndarray,
-        marg_counts: np.ndarray, pair_counts: np.ndarray,
-    ) -> None:
-        """Build the CPTs, supports and scoring tensors from raw
-        marginal/pair counts (shared by fit and partial_fit — the
-        counts are integer-valued floats, so accumulated statistics
-        produce bitwise the same tables as a batch recount)."""
-        n_attrs = self.n_attributes
         cpts: List[np.ndarray] = []
         supports: List[np.ndarray] = []
         for i in range(n_attrs):
@@ -321,113 +274,13 @@ class TANClassifier:
         self._log_cpt = cpts
         self._support = supports
         self._build_scoring_tensors(parent_or_self)
-
-    # ------------------------------------------------------------------
-    # Incremental training
-    # ------------------------------------------------------------------
-    def partial_fit(
-        self, X: Sequence[Sequence[int]], y: Sequence[int]
-    ) -> "TANClassifier":
-        """Fold additional samples into the fitted classifier.
-
-        Bitwise-identical to :meth:`fit` on the concatenated data.
-        The class/marginal/pairwise one-hot counts are integer-valued
-        float sums — exact in any accumulation order — and the CMI
-        matrix, tree, CPTs, prior and scoring tensors are recomputed
-        from those totals with the very same batch expressions.  The
-        tree is re-selected from the updated CMI each call, but its
-        structure only actually changes when the CMI rankings change
-        (tracked in :attr:`structure_changes`); otherwise the CPT
-        counts simply accumulate in place under the existing parents.
-        The incremental win is skipping the O(m·a²·b²) pairwise
-        contraction over the historical samples; attribute selection
-        still rescores the retained history because sample-mean
-        reductions are not order-independent.
-        """
-        if not self.trained:
-            return self.fit(X, y)
-        if self._train_X is None:
-            raise RuntimeError(
-                "classifier was restored from a snapshot and has no "
-                "training history; use fit() on the full data"
-            )
-        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        if X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got {X.shape[1]}"
-            )
-        if self._joint_counts is None:
-            self._init_stats()
-        self._accumulate_stats(X, y)
-        self._train_X = np.concatenate([self._train_X, X])
-        self._train_y = np.concatenate([self._train_y, y])
-        return self._rebuild_from_stats()
-
-    def _init_stats(self) -> None:
-        """Materialize the sufficient statistics from the retained
-        history (one pairwise contraction; paid once, on the first
-        incremental update)."""
-        a, b = self.n_attributes, self.n_bins
-        self._joint_counts = np.zeros((2, a, a, b, b))
-        self._marg_counts = np.zeros((2, a, b))
-        self._class_counts = np.zeros(2)
-        self._accumulate_stats(self._train_X, self._train_y)
-
-    def _accumulate_stats(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add one chunk's one-hot class/marginal/pairwise counts."""
-        onehot = (X[:, :, None] == np.arange(self.n_bins)).astype(float)
-        for label in (NORMAL, ABNORMAL):
-            oh = onehot[y == label]
-            if oh.shape[0] == 0:
-                continue
-            self._class_counts[label] += oh.shape[0]
-            self._marg_counts[label] += oh.sum(axis=0)
-            self._joint_counts[label] += np.einsum("mip,mjq->ijpq", oh, oh)
-
-    def _rebuild_from_stats(self) -> "TANClassifier":
-        """Recompute every fitted tensor from the accumulated
-        statistics, with the batch-fit arithmetic element for
-        element."""
-        a = self.n_attributes
-        n_total = self._train_y.size
-        cmi = np.zeros((a, a))
-        upper = np.triu(np.ones((a, a), dtype=bool), k=1)
-        for label in (NORMAL, ABNORMAL):
-            n_label = self._class_counts[label]
-            if n_label == 0:
-                continue
-            class_weight = n_label / n_total
-            marg = self._marg_counts[label] + self.smoothing
-            marg /= marg.sum(axis=1, keepdims=True)
-            joint = self._joint_counts[label] + self.smoothing
-            joint /= joint.sum(axis=(2, 3), keepdims=True)
-            denom = np.einsum("ip,jq->ijpq", marg, marg)
-            terms = np.sum(
-                joint * (np.log(joint) - np.log(denom)), axis=(2, 3)
-            )
-            contribution = class_weight * np.maximum(terms, 0.0)
-            contribution = np.where(upper, contribution, 0.0)
-            cmi += contribution + contribution.T
-        parents = self._maximum_spanning_tree(cmi)
-        if not np.array_equal(parents, self.parents):
-            self.structure_changes += 1
-        self.parents = parents
-
-        self._log_prior = _class_log_prior_from_counts(
-            self._class_counts, n_total, self.class_prior, self.smoothing
-        )
-        parent_or_self = np.where(parents >= 0, parents, np.arange(a))
-        # Pair counts for any tree are slices of the full pairwise
-        # tensor: joint[label, parent, child] — the same integers the
-        # batch einsum over the concatenated one-hots would produce.
-        pair_counts = self._joint_counts[:, parent_or_self, np.arange(a)]
-        self._fit_tables(parent_or_self, self._marg_counts, pair_counts)
-        self.attribute_mask = np.ones(a, dtype=bool)
+        # Attribute selection (as in Cohen et al. [12]): keep only
+        # attributes whose strengths separate the classes on the
+        # training set itself.
+        self.attribute_mask = np.ones(n_attrs, dtype=bool)
         if self.robust:
-            sample_strengths = self._raw_strengths_batch(self._train_X)
-            self.attribute_mask = select_attributes(
-                sample_strengths, self._train_y
-            )
+            sample_strengths = self._raw_strengths_batch(X)
+            self.attribute_mask = select_attributes(sample_strengths, y)
         return self
 
     def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:

@@ -20,7 +20,7 @@ table1    per-module CPU cost microbenchmarks
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -287,18 +287,35 @@ def fig13_sampling_intervals(
 # ----------------------------------------------------------------------
 # Table I: system overhead
 # ----------------------------------------------------------------------
-def _time_call(fn, repeat: int = 9) -> Tuple[float, float]:
-    """(median, std) wall time of ``fn`` in milliseconds.
+def _time_calls(fns, repeat: int = 9) -> List[Dict[str, float]]:
+    """One ``{"mean_ms", "std_ms", "min_ms"}`` row per function.
 
-    The median is robust against the occasional GC pause or scheduler
-    hiccup that would otherwise make tiny (<1 ms) measurements flap.
+    The calls run round-robin, so slow phases of a shared host hit
+    every function alike.  ``mean_ms`` is the median, robust against
+    the occasional GC pause or scheduler hiccup that would otherwise
+    make tiny (<1 ms) measurements flap; ``min_ms`` is the least
+    disturbed run, the right statistic for comparing two fast calls.
     """
-    samples = []
+    samples: List[List[float]] = [[] for _ in fns]
     for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        samples.append(1000.0 * (time.perf_counter() - start))
-    return float(np.median(samples)), float(np.std(samples))
+        for fn, times in zip(fns, samples):
+            start = time.perf_counter()
+            fn()
+            times.append(1000.0 * (time.perf_counter() - start))
+    return [
+        {"mean_ms": float(np.median(times)), "std_ms": float(np.std(times)),
+         "min_ms": float(np.min(times))}
+        for times in samples
+    ]
+
+
+def _time_call(fn, repeat: int = 9) -> Dict[str, float]:
+    return _time_calls([fn], repeat)[0]
+
+
+def _fixed_cost(seconds: float) -> Dict[str, float]:
+    ms = seconds * 1000.0
+    return {"mean_ms": ms, "std_ms": 0.0, "min_ms": ms}
 
 
 def table1_overhead(
@@ -335,30 +352,26 @@ def table1_overhead(
         ["vm1"], ResourceSpec(1.0, 1024.0), spares=0
     )
     monitor = VMMonitor(sim, vms)
-    mean, std = _time_call(lambda: monitor.sample_vm(vms[0], 0.0), repeat=50)
-    rows["vm_monitoring_13_attributes"] = {"mean_ms": mean, "std_ms": std}
+    rows["vm_monitoring_13_attributes"] = _time_call(
+        lambda: monitor.sample_vm(vms[0], 0.0), repeat=50
+    )
 
     # -- Value-predictor training on 600 samples.
     states = rng.integers(0, n_bins, training_samples)
-    mean, std = _time_call(
-        lambda: [SimpleMarkovModel(n_bins).fit(states) for _ in range(n_attributes)],
-        repeat=15,
-    )
-    rows["simple_markov_training_600"] = {"mean_ms": mean, "std_ms": std}
-    mean, std = _time_call(
-        lambda: [
-            TwoDependentMarkovModel(n_bins).fit(states)
-            for _ in range(n_attributes)
-        ],
-        repeat=15,
-    )
-    rows["two_dep_markov_training_600"] = {"mean_ms": mean, "std_ms": std}
+    (
+        rows["simple_markov_training_600"],
+        rows["two_dep_markov_training_600"],
+    ) = _time_calls([
+        lambda: [SimpleMarkovModel(n_bins).fit(states)
+                 for _ in range(n_attributes)],
+        lambda: [TwoDependentMarkovModel(n_bins).fit(states)
+                 for _ in range(n_attributes)],
+    ], repeat=15)
 
     # -- TAN training on 600 samples.
     X = rng.integers(0, n_bins, (training_samples, n_attributes))
     y = (rng.random(training_samples) < 0.2).astype(int)
-    mean, std = _time_call(lambda: TANClassifier(n_bins).fit(X, y))
-    rows["tan_training_600"] = {"mean_ms": mean, "std_ms": std}
+    rows["tan_training_600"] = _time_call(lambda: TANClassifier(n_bins).fit(X, y))
 
     # -- One anomaly prediction (value prediction + classification +
     #    attribution) over 13 attributes.
@@ -368,15 +381,12 @@ def table1_overhead(
                                  n_bins=n_bins)
     predictor.train(values, labels)
     recent = values[-2:]
-    mean, std = _time_call(lambda: predictor.predict(recent, steps=6), repeat=20)
-    rows["anomaly_prediction"] = {"mean_ms": mean, "std_ms": std}
+    rows["anomaly_prediction"] = _time_call(
+        lambda: predictor.predict(recent, steps=6), repeat=20
+    )
 
     # -- Prevention verbs: the platform latencies (paper Table I values).
-    rows["cpu_scaling"] = {"mean_ms": CPU_SCALING_LATENCY * 1000.0, "std_ms": 0.0}
-    rows["memory_scaling"] = {
-        "mean_ms": MEMORY_SCALING_LATENCY * 1000.0, "std_ms": 0.0
-    }
-    rows["live_migration_512mb"] = {
-        "mean_ms": MIGRATION_SECONDS_PER_512MB * 1000.0, "std_ms": 0.0
-    }
+    rows["cpu_scaling"] = _fixed_cost(CPU_SCALING_LATENCY)
+    rows["memory_scaling"] = _fixed_cost(MEMORY_SCALING_LATENCY)
+    rows["live_migration_512mb"] = _fixed_cost(MIGRATION_SECONDS_PER_512MB)
     return rows

@@ -13,8 +13,7 @@ offline controller's fleet-batched tick.
 
 Scoring a sample batched is bitwise-identical to scoring it alone:
 the stacked operator's einsum reductions are independent along the
-attribute axis, and classification stays per-VM through the same
-code path :meth:`AnomalyPredictor.predict` uses.  ``serve_check.py``
+attribute axis, and per-VM reductions keep their shapes.  ``serve_check.py``
 and the replay harness assert alert parity against the offline
 controller end to end.
 

@@ -207,3 +207,17 @@ class TestProperties:
         clf = NaiveBayesClassifier(6).fit(X, y)
         for row in X[:10]:
             assert 0.0 <= clf.predict_proba(row) <= 1.0
+
+
+class TestCorruptSnapshotRejection:
+    def test_naive_bayes_rejects_bad_log_probabilities(self):
+        X, y = labelled_data(n=120, seed=29)
+        blob = NaiveBayesClassifier(n_bins=8).fit(X, y).to_dict()
+        bad = {**blob, "log_prior": [0.5, blob["log_prior"][1]]}
+        with pytest.raises(ValueError, match="positive log"):
+            NaiveBayesClassifier.from_dict(bad)
+        bad = {**blob}
+        bad["log_cpt"] = [row[:] for row in blob["log_cpt"]]
+        bad["log_cpt"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            NaiveBayesClassifier.from_dict(bad)

@@ -135,3 +135,33 @@ class TestProperties:
         disc = Discretizer(n_bins=6).fit(data)
         bins = disc.transform(data)[:, 0]
         assert (np.diff(bins) >= 0).all()
+
+
+class TestConstantAttributeRegression:
+    def test_idle_then_active_metric_stays_in_bin_zero(self):
+        # An attribute flat during training (idle disk, say) must map
+        # every later value to bin 0 — the docstring's promise.  The
+        # old edges (linspace(lo+1, lo+2)) put values above lo+1 into
+        # bins >= 1.
+        data = np.column_stack([
+            np.zeros(50),                       # idle during training
+            np.linspace(0.0, 10.0, 50),
+        ])
+        disc = Discretizer(n_bins=6).fit(data)
+        active = np.column_stack([
+            np.linspace(0.0, 400.0, 30),        # bursts after training
+            np.linspace(0.0, 10.0, 30),
+        ])
+        binned = disc.transform(active)
+        assert (binned[:, 0] == 0).all()
+        assert disc.transform_value(0, 1.5) == 0
+        assert disc.transform_value(0, 1e9) == 0
+
+    def test_constant_bins_survive_snapshot_roundtrip(self):
+        data = np.column_stack([np.full(20, 7.0), np.arange(20.0)])
+        disc = Discretizer(n_bins=4).fit(data)
+        restored = Discretizer.from_dict(disc.to_dict())
+        assert restored.transform_value(0, 123.0) == 0
+        np.testing.assert_array_equal(
+            restored.transform(data), disc.transform(data)
+        )

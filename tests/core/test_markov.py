@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.markov import SimpleMarkovModel, TwoDependentMarkovModel
 
+N_STATES = 6
+
 
 class TestValidation:
     def test_invalid_states_rejected(self):
@@ -162,3 +164,68 @@ class TestDistributionProperties:
         np.testing.assert_allclose(
             model.predict_distribution(seq[-2:], steps=1), matrix[row]
         )
+
+
+class TestSegmentUpdates:
+    @pytest.mark.parametrize(
+        "cls", [SimpleMarkovModel, TwoDependentMarkovModel]
+    )
+    def test_update_starts_an_independent_segment(self, cls):
+        # update() must NOT stitch across the boundary: the two
+        # segments are separate observation streams.
+        a = [0, 1, 2, 3, 2, 1, 0, 1]
+        b = [5, 4, 3, 2, 1, 0, 1, 2]
+        split = cls(N_STATES).fit(a).update(b)
+        joined = cls(N_STATES).fit(a + b)
+        assert not np.array_equal(split._counts, joined._counts)
+        np.testing.assert_array_equal(
+            split._counts,
+            cls(N_STATES).fit(a)._counts + cls(N_STATES).fit(b)._counts,
+        )
+
+
+class TestMarkovTrainedFlagRegression:
+    """update()/fit() on too-short sequences must not mark trained."""
+
+    @pytest.mark.parametrize(
+        "cls,too_short",
+        [
+            (SimpleMarkovModel, []),
+            (SimpleMarkovModel, [3]),
+            (TwoDependentMarkovModel, []),
+            (TwoDependentMarkovModel, [3]),
+            (TwoDependentMarkovModel, [3, 4]),
+        ],
+    )
+    def test_no_transitions_leaves_model_untrained(self, cls, too_short):
+        model = cls(N_STATES)
+        model.update(too_short)
+        assert not model._trained
+        with pytest.raises(RuntimeError):
+            model.predict_distribution([1] * model.history_needed)
+        model.fit(too_short)
+        assert not model._trained
+
+    @pytest.mark.parametrize(
+        "cls", [SimpleMarkovModel, TwoDependentMarkovModel]
+    )
+    def test_short_segments_still_accumulate_later(self, cls):
+        model = cls(N_STATES)
+        model.update([2])  # no transition yet
+        model.update([0, 1, 2, 3, 2, 1])
+        assert model._trained
+        ref = cls(N_STATES).fit([0, 1, 2, 3, 2, 1])
+        np.testing.assert_array_equal(model._counts, ref._counts)
+
+
+class TestCorruptSnapshotRejection:
+    @pytest.mark.parametrize(
+        "cls", [SimpleMarkovModel, TwoDependentMarkovModel]
+    )
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -1.0])
+    def test_markov_rejects_bad_count_values(self, cls, poison):
+        model = cls(N_STATES).fit([0, 1, 2, 3, 2, 1, 0, 1, 2])
+        blob = model.to_dict()
+        blob["counts"][0][0] = poison
+        with pytest.raises(ValueError, match="corrupt Markov snapshot"):
+            cls.from_dict(blob)

@@ -65,6 +65,16 @@ class TestTraining:
         dist = pred.value_models[0].predict_distribution([0, 0], steps=1)
         assert dist[0] > 0.9
 
+    def test_train_raises_when_no_segment_yields_transitions(self):
+        rng = np.random.default_rng(61)
+        values = np.cumsum(rng.normal(size=(40, 3)), axis=0)
+        labels = (rng.random(40) < 0.3).astype(int)
+        ids = np.arange(40)  # every segment has exactly one sample
+        predictor = AnomalyPredictor(["a", "b", "c"], n_bins=6)
+        with pytest.raises(ValueError, match="no state transitions"):
+            predictor.train(values, labels, segment_ids=ids)
+        assert not predictor.trained
+
 
 class TestPrediction:
     def test_classify_current_detects_anomalous_state(self):

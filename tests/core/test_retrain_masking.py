@@ -217,21 +217,17 @@ class TestControllerDriftTrigger:
         assert controller._drift_detector is None
 
 
-class TestContinuousLearningParity:
-    """Continuous learning is a *speed* feature: with the incremental
-    path and the drift trigger enabled, a full experiment must decide
-    byte-for-byte what the flags-off baseline decides (partial_fit is
-    bitwise-equal to refit; drift retrains are extra-but-identical
-    model fits on the same windows)."""
+class TestDriftDetectionParity:
+    """With the drift trigger enabled, a full experiment must decide
+    byte-for-byte what the trigger-off baseline decides: drift retrains
+    are extra-but-identical model fits on the same windows."""
 
     @staticmethod
-    def _run(continuous):
+    def _run(drift):
         from repro.experiments.runner import ExperimentConfig, run_experiment
         from repro.faults.base import FaultKind
 
-        cfg = PrepareConfig(
-            continuous_learning=continuous, drift_detection=continuous,
-        )
+        cfg = PrepareConfig(drift_detection=drift)
         return run_experiment(ExperimentConfig(
             app="rubis", fault=FaultKind.MEMORY_LEAK, scheme="prepare",
             seed=3, duration=1500.0, controller=cfg,

@@ -1,5 +1,7 @@
 """Tests for the TAN classifier: structure, Eq. (1)/(2), attribution."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,3 +193,21 @@ class TestProperties:
         clf = TANClassifier(5).fit(X, y)
         for row in X[:10]:
             assert np.isfinite(clf.attribute_strengths(row)).all()
+
+
+class TestCorruptSnapshotRejection:
+    def test_tan_rejects_bad_snapshot_values(self):
+        X, y = correlated_data(n=120, seed=31)
+        blob = TANClassifier(n_bins=8).fit(X, y).to_dict()
+        bad = {**blob, "log_prior": [float("inf"), blob["log_prior"][1]]}
+        with pytest.raises(ValueError, match="corrupt TAN snapshot"):
+            TANClassifier.from_dict(bad)
+        bad = {**blob, "parents": [9] + blob["parents"][1:]}
+        with pytest.raises(ValueError):
+            TANClassifier.from_dict(bad)
+        bad = copy.deepcopy(blob)
+        flat = np.asarray(bad["log_cpt"][0], dtype=float)
+        flat.flat[0] = 1.0
+        bad["log_cpt"][0] = flat.tolist()
+        with pytest.raises(ValueError, match="positive log"):
+            TANClassifier.from_dict(bad)

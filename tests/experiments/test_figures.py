@@ -49,11 +49,14 @@ class TestTable1:
         for module, cells in rows.items():
             assert cells["mean_ms"] > 0.0, module
             assert cells["std_ms"] >= 0.0, module
+            assert 0.0 < cells["min_ms"] <= cells["mean_ms"], module
 
     def test_two_dep_costlier_than_simple(self, rows):
+        # The true gap is only ~15-20%, so compare the least disturbed
+        # of the interleaved runs rather than a noise-prone centre.
         assert (
-            rows["two_dep_markov_training_600"]["mean_ms"]
-            > rows["simple_markov_training_600"]["mean_ms"]
+            rows["two_dep_markov_training_600"]["min_ms"]
+            > rows["simple_markov_training_600"]["min_ms"]
         )
 
     def test_actuation_latencies_are_paper_values(self, rows):

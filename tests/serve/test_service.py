@@ -125,7 +125,7 @@ class TestProtocol:
 
 
 class TestFleetScorerTiers:
-    """Every scoring tier must equal AnomalyPredictor.predict bitwise."""
+    """Both scoring tiers must equal AnomalyPredictor.predict bitwise."""
 
     def test_fast_tier_all_tan(self):
         predictors, traces = make_fleet(6)
@@ -155,8 +155,8 @@ class TestFleetScorerTiers:
         predictors["vmN"] = naive
         traces["vmN"] = naive_values
         scorer = FleetScorer(predictors)
-        assert scorer._fast is None          # naive blocks the fast tier
-        assert scorer.stacked                # chains still stack
+        assert scorer._fast is not None      # naive stacks as root-only TAN
+        assert scorer.stacked
         batch = make_batch(predictors, traces)
         assert_results_bitwise_equal(
             batch, scorer.score(batch), predictors

@@ -86,6 +86,18 @@ class TestCommands:
         assert "Table I" in out
         assert "live_migration_512mb" in out
 
+    def test_profile_prints_module_table(self, capsys):
+        code = main([
+            "profile", "--app", "rubis", "--duration", "700",
+            "--injections", "1", "--top", "3",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "profiled rubis/memory_leak seed=7 duration=700s" in out
+        assert "module" in out and "tottime" in out
+        assert "repro.core.controller" in out
+        assert "top 3 by cumulative time" in out
+
 
 class TestCampaignCommand:
     @staticmethod
