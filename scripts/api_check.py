@@ -35,15 +35,10 @@ import base64
 import hashlib
 import json
 import struct
-import sys
 import tempfile
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.faults.base import FaultKind
-from repro.experiments.accuracy import _train_per_vm, collect_trace
+from check_setup import fail, save_fleet, train_fleet
 from repro.obs import Observability, parse_prometheus_text
 from repro.serve.alarms import AlarmManager
 from repro.serve.api import OperatorAPI
@@ -52,10 +47,6 @@ from repro.serve.service import PredictionService, ServiceConfig
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _WS_KEY = "YXBpLWNoZWNrLXdzLWtleQ=="
-
-
-def fail(message: str) -> None:
-    raise SystemExit(f"FAIL: {message}")
 
 
 async def http(port: int, method: str, path: str, body=None):
@@ -137,18 +128,9 @@ class WsClient:
 
 
 async def check(registry_root: Path, duration: float, steps: int) -> None:
-    dataset = collect_trace(
-        "rubis", FaultKind.CPU_HOG, seed=3, duration=duration
-    )
-    predictors = _train_per_vm(dataset, "2dep", "tan", 8)
-    if not predictors:
-        fail("trace produced no trainable per-VM predictors")
+    _, predictors = train_fleet(duration)
     registry = ModelRegistry(registry_root)
-    saved = registry.save(
-        "api-check", predictors, created_at="2026-01-01T00:00:00+00:00"
-    )
-    registry.promote("api-check", saved.version,
-                     promoted_at="2026-01-01T00:00:00+00:00")
+    saved = save_fleet(registry, "api-check", predictors, promote=True)
     restored = registry.load_active("api-check")
     print(f"trained {len(restored)} per-VM predictors, snapshot "
           f"{saved.name}/{saved.version_label}")

@@ -30,31 +30,23 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import sys
 import tempfile
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.faults.base import FaultKind
-from repro.experiments.accuracy import _train_per_vm, collect_trace
+from check_setup import (
+    fail,
+    rebuilt_snapshot,
+    save_fleet,
+    snapshot_text,
+    train_fleet,
+)
 from repro.serve.lifecycle import LifecycleConfig, LifecycleManager
 from repro.serve.protocol import encode_message
-from repro.serve.registry import ModelRegistry, canonical_json
+from repro.serve.registry import ModelRegistry
 from repro.serve.service import PredictionService, ServiceConfig
 
 MODEL_NAME = "continuous-check"
 MIN_SHADOW = 50
-
-
-def fail(message: str) -> None:
-    raise SystemExit(f"FAIL: {message}")
-
-
-def snapshot_bytes(registry: ModelRegistry, version: int) -> str:
-    info = registry.info(MODEL_NAME, version)
-    return (info.path / "snapshot.json").read_text(encoding="utf-8")
 
 
 async def stream(service, manager, sock, traces, observe=True):
@@ -84,21 +76,13 @@ async def stream(service, manager, sock, traces, observe=True):
 
 
 async def check(registry_root: Path, duration: float) -> None:
-    baseline = collect_trace(
-        "rubis", FaultKind.CPU_HOG, seed=3, duration=duration
-    )
-    champion = _train_per_vm(baseline, "2dep", "tan", 8)
-    if not champion:
-        fail("baseline trace produced no trainable predictors")
+    baseline, champion = train_fleet(duration)
     vms = sorted(champion)
     print(f"trained champion fleet over {len(vms)} VM(s)")
 
     registry = ModelRegistry(registry_root)
-    champ_info = registry.save(
-        MODEL_NAME, champion, created_at="2026-01-01T00:00:00+00:00"
-    )
-    registry.promote(MODEL_NAME, champ_info.version)
-    champ_doc = snapshot_bytes(registry, champ_info.version)
+    champ_info = save_fleet(registry, MODEL_NAME, champion, promote=True)
+    champ_doc = snapshot_text(champ_info)
 
     # Drift injection: the same workload shifted to a new operating
     # point.  The challenger retrains on an independent trace of the
@@ -107,12 +91,7 @@ async def check(registry_root: Path, duration: float) -> None:
     shift_traces = {
         vm: baseline.per_vm_values[vm] * 1.6 + 3.0 for vm in vms
     }
-    drifted = collect_trace(
-        "rubis", FaultKind.CPU_HOG, seed=4, duration=duration
-    )
-    challenger = _train_per_vm(drifted, "2dep", "tan", 8)
-    if not challenger:
-        fail("drifted trace produced no trainable predictors")
+    _, challenger = train_fleet(duration, seed=4)
 
     service = PredictionService(champion, ServiceConfig())
     service.champion_version = champ_info.version
@@ -183,16 +162,7 @@ async def check(registry_root: Path, duration: float) -> None:
             if service.champion_version != champ_info.version:
                 fail("rollback did not restore the serving champion")
             restored = registry.load_active(MODEL_NAME)
-            restored_doc = canonical_json({
-                "schema": 1,
-                "name": champ_info.name,
-                "version": champ_info.version,
-                "created_at": champ_info.created_at,
-                "vms": {
-                    vm: restored[vm].to_dict() for vm in sorted(restored)
-                },
-            })
-            if restored_doc != champ_doc:
+            if rebuilt_snapshot(champ_info, restored) != champ_doc:
                 fail("rolled-back champion is not bitwise identical to "
                      "the original snapshot")
             print("rollback restored the bitwise-identical champion")

@@ -31,7 +31,6 @@ import asyncio
 import json
 import os
 import signal
-import sys
 import tempfile
 import time
 from collections import deque
@@ -39,11 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.faults.base import FaultKind
-from repro.experiments.accuracy import _train_per_vm, collect_trace
+from check_setup import fail, save_fleet, train_fleet
 from repro.serve.alarms import AlarmManager
 from repro.serve.fabric import FabricConfig, ServingFabric
 from repro.serve.registry import ModelRegistry
@@ -51,10 +46,6 @@ from repro.serve.replay import iter_samples
 
 MIN_SAMPLES = 1000
 N_WORKERS = 3
-
-
-def fail(message: str) -> None:
-    raise SystemExit(f"FAIL: {message}")
 
 
 class ParityOracle:
@@ -132,19 +123,13 @@ async def replay_with_kill(
 
 
 async def check(duration: float, steps: int) -> None:
-    dataset = collect_trace(
-        "rubis", FaultKind.CPU_HOG, seed=3, duration=duration
-    )
-    predictors = _train_per_vm(dataset, "2dep", "tan", 8)
-    if not predictors:
-        fail("trace produced no trainable per-VM predictors")
+    dataset, predictors = train_fleet(duration)
     print(f"trained {len(predictors)} per-VM predictors")
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         registry = ModelRegistry(root / "registry")
-        saved = registry.save("fabric-check", predictors)
-        registry.promote("fabric-check", saved.version)
+        save_fleet(registry, "fabric-check", predictors, promote=True)
 
         traces = {vm: dataset.per_vm_values[vm] for vm in predictors}
         per_pass = len(iter_samples(traces))

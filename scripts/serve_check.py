@@ -25,50 +25,32 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import sys
 import tempfile
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.faults.base import FaultKind
-from repro.experiments.accuracy import _train_per_vm, collect_trace
-from repro.serve.registry import ModelRegistry, canonical_json
+from check_setup import (
+    fail,
+    rebuilt_snapshot,
+    save_fleet,
+    snapshot_text,
+    train_fleet,
+)
+from repro.serve.registry import ModelRegistry
 from repro.serve.replay import iter_samples, replay_dataset
 from repro.serve.service import PredictionService, ServiceConfig
 
 MIN_SAMPLES = 1000
 
 
-def fail(message: str) -> None:
-    raise SystemExit(f"FAIL: {message}")
-
-
 async def check(registry_root: Path, duration: float, steps: int) -> None:
-    dataset = collect_trace(
-        "rubis", FaultKind.CPU_HOG, seed=3, duration=duration
-    )
-    predictors = _train_per_vm(dataset, "2dep", "tan", 8)
-    if not predictors:
-        fail("trace produced no trainable per-VM predictors")
+    dataset, predictors = train_fleet(duration)
     print(f"trained {len(predictors)} per-VM predictors "
           f"({len(dataset.attributes)} attributes each)")
 
     registry = ModelRegistry(registry_root)
-    saved = registry.save(
-        "serve-check", predictors, created_at="2026-01-01T00:00:00+00:00"
-    )
+    saved = save_fleet(registry, "serve-check", predictors)
     restored = registry.load("serve-check")
-    original_doc = (saved.path / "snapshot.json").read_text(encoding="utf-8")
-    restored_doc = canonical_json({
-        "schema": 1,
-        "name": saved.name,
-        "version": saved.version,
-        "created_at": saved.created_at,
-        "vms": {vm: restored[vm].to_dict() for vm in sorted(restored)},
-    })
-    if restored_doc != original_doc:
+    if rebuilt_snapshot(saved, restored) != snapshot_text(saved):
         fail("restored predictors do not re-serialize to the saved "
              "snapshot bytes")
     print(f"snapshot {saved.name}/{saved.version_label} round-trips "

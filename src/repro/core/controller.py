@@ -266,8 +266,6 @@ class PrepareController:
         #: Lazily built fleet-wide scorer shared by the predictive and
         #: reactive paths (see :meth:`_fleet_scorer`).
         self._scorer: Optional[FleetScorer] = None
-        self._scorer_key: Tuple[str, ...] = ()
-        self._scorer_was_stacked = False
         self._last_action_at: Dict[str, float] = {}
         self._suppressed_until: Dict[str, float] = {}
         self._ops_seen = 0
@@ -558,6 +556,7 @@ class PrepareController:
                     # Localization has withdrawn this VM's implication:
                     # retire the stale model rather than let it misfire.
                     self.predictors[name].invalidate()
+                    self._scorer = None
                     self.events.emit(self._sim.now, "model_retired", vm=name)
                 continue
             # Regime-aware training set.  Normal samples count only
@@ -610,6 +609,7 @@ class PrepareController:
                         reason=str(exc),
                     )
                     continue
+                self._scorer = None
                 self.events.emit(
                     self._sim.now, "model_trained", vm=name,
                     samples=int(rows.size), abnormal=int(y_sel.sum()),
@@ -622,26 +622,16 @@ class PrepareController:
     def _fleet_scorer(self, trained_names: List[str]) -> FleetScorer:
         """Shared :class:`FleetScorer` over the trained predictors.
 
-        Between retrains every tick reuses the same stacked operators
-        and horizon cache.  After a retrain the scorer first attempts
-        an incremental :meth:`FleetScorer.refresh` (re-stacking only
-        the refit VMs' tensor rows); a full rebuild happens only when
-        the trained membership changed or the repair was impossible.
+        :meth:`_retrain` drops it whenever it trains or retires a
+        model, so it is built on the first call after such a retrain
+        and reused, stacked operators and horizon cache included, by
+        every tick until the next one.
         """
-        key = tuple(trained_names)
-        scorer = self._scorer
-        if scorer is not None and key == self._scorer_key:
-            if scorer.stacked or not self._scorer_was_stacked:
-                return scorer
-            if scorer.refresh():
-                return scorer
-        scorer = FleetScorer(
-            {name: self.predictors[name] for name in trained_names}
-        )
-        self._scorer = scorer
-        self._scorer_key = key
-        self._scorer_was_stacked = scorer.stacked
-        return scorer
+        if self._scorer is None:
+            self._scorer = FleetScorer(
+                {name: self.predictors[name] for name in trained_names}
+            )
+        return self._scorer
 
     def _predictive_path(self, now: float) -> None:
         confirmed: List[Tuple[str, PredictionResult]] = []

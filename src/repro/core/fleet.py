@@ -19,15 +19,24 @@ pipeline pass per sample.  Naive Bayes enters the stack as a TAN with
 no attribute parents: every attribute is a root, and its ``(a, b)``
 difference rows are broadcast along the parent axis.
 
+The scorer has one lifecycle: :meth:`FleetScorer.refresh` builds it
+from the current predictors (the constructor calls it), and it scores
+until the next retrain.  Staleness is one per-VM fact, the identity of
+the ``value_models`` list :meth:`AnomalyPredictor.train` replaces, and
+it is checked only for the VMs in a batch.
+
 There are two tiers.  The **fast tier** runs whenever the chains
-stack (one Markov variant and state count across the fleet) and no
-model was refit since stacking; otherwise the **sequential tier**
-calls each VM's own pipeline.  Both are bitwise-identical to
-:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
-classify_current`: the stacked einsum reductions are independent
-along the attribute axis, and per-VM reductions keep their shapes.
-``serve_check.py``, the replay harness and the controller parity
-tests assert it end to end.
+stack (one Markov variant and state count across the fleet) and no VM
+in the batch was retrained since the last build; otherwise the
+**sequential tier** calls each VM's own pipeline, so a retrained VM is
+scored exactly until :meth:`FleetScorer.refresh` re-stacks it.  A
+chain updated *in place* keeps its list, so the scorer does not notice
+it: call :meth:`FleetScorer.refresh` after one.  Both tiers are
+bitwise-identical to :meth:`AnomalyPredictor.predict` /
+:meth:`AnomalyPredictor.classify_current`: the stacked einsum
+reductions are independent along the attribute axis, and per-VM
+reductions keep their shapes.  ``serve_check.py``, the replay harness
+and the controller parity tests assert it end to end.
 """
 
 from __future__ import annotations
@@ -75,9 +84,8 @@ class _FastTensors:
 
     Everything an arriving batch needs, concatenated along one global
     attribute axis (``A = Σ per-VM attrs``): discretizer edges for the
-    batched transform, the per-attribute difference tensors and tree
-    metadata for stacked classification, and the identity of the
-    source arrays so a refit anywhere invalidates the stack.
+    batched transform, and the per-attribute difference tensors and
+    tree metadata for stacked classification.
     """
 
     edges: np.ndarray        # (A, n_bins - 1)
@@ -88,52 +96,20 @@ class _FastTensors:
     is_root: np.ndarray      # (A,) bool
     mask: np.ndarray         # (A,) attribute-selection mask
     prior_diff: Dict[str, float]          # vm -> log-prior difference
-    clf_refs: List[Tuple[object, object]]  # (classifier, _diff_soft)
-    disc_refs: List[Tuple[object, object]]  # (discretizer, _bins)
-
-    def current(self) -> bool:
-        """True while no source classifier/discretizer was refit."""
-        return all(
-            clf._diff_soft is ref for clf, ref in self.clf_refs
-        ) and all(disc._bins is ref for disc, ref in self.disc_refs)
 
 
 class FleetScorer:
     """Scores samples from many VMs through one stacked fleet operator.
 
-    See the module docstring for the tiering and parity guarantees.
+    See the module docstring for the lifecycle, tiering and parity
+    guarantees.
     """
 
     def __init__(self, predictors: Dict[str, AnomalyPredictor]) -> None:
         if not predictors:
             raise ValueError("need at least one predictor")
-        for vm, predictor in predictors.items():
-            if not predictor.trained:
-                raise ValueError(f"predictor for VM {vm!r} is not trained")
         self.predictors = dict(predictors)
-        self._slices: Dict[str, np.ndarray] = {}
-        chains = []
-        offset = 0
-        for vm in sorted(self.predictors):
-            models = self.predictors[vm].value_models
-            self._slices[vm] = np.arange(offset, offset + len(models))
-            chains.extend(models)
-            offset += len(models)
-        try:
-            self._stacked: Optional[BatchedAttributeChains] = (
-                BatchedAttributeChains(chains)
-            )
-        except ValueError:
-            self._stacked = None
-        # fresh() only catches in-place chain updates; a retrain swaps
-        # in brand-new model objects, so identity must be tracked too.
-        self._chain_refs = [
-            (self.predictors[vm], tuple(self.predictors[vm].value_models))
-            for vm in sorted(self.predictors)
-        ]
-        self._fast = self._build_fast() if self._stacked is not None else None
-        #: steps -> (A, [p0,] c0, x) final-horizon transition operator
-        self._horizon_cache: Dict[int, np.ndarray] = {}
+        self.refresh()
 
     @property
     def n_vms(self) -> int:
@@ -147,18 +123,50 @@ class FleetScorer:
 
     @property
     def stacked(self) -> bool:
-        """True while the fast tier is usable: the fleet stacked and
-        no chain, classifier or discretizer was refit since."""
-        return (
-            self._fast is not None
-            and self._stacked.fresh()
-            and all(
-                len(predictor.value_models) == len(ref)
-                and all(a is b for a, b in zip(predictor.value_models, ref))
-                for predictor, ref in self._chain_refs
+        """True while the fast tier serves the whole fleet: the chains
+        stacked and no VM was retrained since the last build."""
+        return self._fast is not None and self._current(self.predictors)
+
+    def _current(self, vms) -> bool:
+        """True when no VM in ``vms`` was retrained since the build."""
+        built = self._built
+        predictors = self.predictors
+        return all(predictors[vm].value_models is built[vm] for vm in vms)
+
+    def refresh(self) -> bool:
+        """(Re)build the scorer from the current predictors.
+
+        The scorer's only build path: the constructor calls it, and
+        callers call it after a retrain (or after updating a chain in
+        place, which the per-VM staleness check does not see).  It
+        re-stacks every VM's chains, classifier and discretizer, drops
+        the cached horizon operators, and returns whether the fast
+        tier exists (False when the chain variants or state counts do
+        not stack).  Raises :class:`ValueError` for an untrained
+        predictor.
+        """
+        for vm, predictor in self.predictors.items():
+            if not predictor.trained:
+                raise ValueError(f"predictor for VM {vm!r} is not trained")
+        order = sorted(self.predictors)
+        #: vm -> the value_models list stacked; train() replaces it
+        self._built = {vm: self.predictors[vm].value_models for vm in order}
+        self._slices: Dict[str, np.ndarray] = {}
+        chains = []
+        for vm in order:
+            start = len(chains)
+            chains.extend(self._built[vm])
+            self._slices[vm] = np.arange(start, len(chains))
+        try:
+            self._stacked: Optional[BatchedAttributeChains] = (
+                BatchedAttributeChains(chains)
             )
-            and self._fast.current()
-        )
+        except ValueError:
+            self._stacked = None
+        self._fast = self._build_fast() if self._stacked is not None else None
+        #: steps -> (A, [p0,] c0, x) final-horizon transition operator
+        self._horizon_cache: Dict[int, np.ndarray] = {}
+        return self._fast is not None
 
     def _build_fast(self) -> _FastTensors:
         order = sorted(self.predictors)
@@ -186,94 +194,7 @@ class FleetScorer:
                           - clf._log_prior[TAN_NORMAL])
                 for vm, clf in zip(order, classifiers)
             },
-            clf_refs=[(clf, clf._diff_soft) for clf in classifiers],
-            disc_refs=[(disc, disc._bins) for disc in discretizers],
         )
-
-    def refresh(self) -> bool:
-        """Re-stack, in place, the VMs whose models were refit.
-
-        The online controller retrains a handful of VMs every few
-        ticks; rebuilding the whole fleet stack (and its horizon
-        operators) each time would cost more than the batching saves.
-        This repairs only the stale VMs' tensor rows — chains, fast-
-        tier classifier slices and any cached horizon operators — and
-        returns ``True`` when the scorer is fully current afterwards.
-        ``False`` means repair is impossible (membership, shape or
-        variant changed, or the fleet was never stacked) and the
-        caller should build a fresh scorer.
-        """
-        if self._fast is None:
-            return False
-        for i, vm in enumerate(sorted(self.predictors)):
-            predictor = self.predictors[vm]
-            _, chain_ref = self._chain_refs[i]
-            clf, diff_ref = self._fast.clf_refs[i]
-            disc, bins_ref = self._fast.disc_refs[i]
-            if (
-                len(predictor.value_models) == len(chain_ref)
-                and all(
-                    a is b for a, b in zip(predictor.value_models, chain_ref)
-                )
-                and clf is predictor.classifier
-                and clf._diff_soft is diff_ref
-                and disc is predictor.discretizer
-                and disc._bins is bins_ref
-            ):
-                continue
-            sl = self._slices[vm]
-            if (
-                not predictor.trained
-                or len(predictor.value_models) != sl.shape[0]
-            ):
-                return False
-            start, stop = int(sl[0]), int(sl[-1]) + 1
-            try:
-                self._stacked.restack(start, predictor.value_models)
-            except ValueError:
-                return False
-            self._chain_refs[i] = (predictor, tuple(predictor.value_models))
-            if not self._refresh_fast(i, vm, predictor, start, stop):
-                return False
-            for steps, operator in self._horizon_cache.items():
-                operator[start:stop] = self._horizon_for(
-                    self._stacked._tensor[start:stop], steps
-                )
-        # Chains updated in place (same objects) are not repaired.
-        return self.stacked
-
-    def _refresh_fast(
-        self,
-        i: int,
-        vm: str,
-        predictor: AnomalyPredictor,
-        start: int,
-        stop: int,
-    ) -> bool:
-        """Repair one VM's rows of the fast-tier tensors in place."""
-        fast = self._fast
-        clf = predictor.classifier
-        disc = predictor.discretizer
-        diff_soft, diff_hard, parent, root = _tan_view(clf)
-        edges = np.stack([bins.edges for bins in disc._bins])
-        if (
-            edges.shape != fast.edges[start:stop].shape
-            or diff_soft.shape != fast.diff_soft[start:stop].shape
-        ):
-            return False
-        fast.edges[start:stop] = edges
-        fast.diff_soft[start:stop] = diff_soft
-        fast.diff_hard[start:stop] = diff_hard
-        fast.root_row[start:stop] = diff_soft[:, 0, :]
-        fast.rel_parent[start:stop] = parent
-        fast.is_root[start:stop] = root
-        fast.mask[start:stop] = clf.attribute_mask
-        fast.prior_diff[vm] = float(
-            clf._log_prior[TAN_ABNORMAL] - clf._log_prior[TAN_NORMAL]
-        )
-        fast.clf_refs[i] = (clf, clf._diff_soft)
-        fast.disc_refs[i] = (disc, disc._bins)
-        return True
 
     def _horizon_operator(self, steps: int) -> np.ndarray:
         """Final-horizon transition operator for every stacked chain.
@@ -289,19 +210,7 @@ class FleetScorer:
         cached = self._horizon_cache.get(steps)
         if cached is not None:
             return cached
-        operator = self._horizon_for(self._stacked._tensor, steps)
-        self._horizon_cache[steps] = operator
-        return operator
-
-    def _horizon_for(self, tensor: np.ndarray, steps: int) -> np.ndarray:
-        """The horizon recurrence over any contiguous tensor slice.
-
-        The einsum reductions are independent along the attribute
-        axis, so running the recurrence over a slice yields the same
-        rows as running it fleet-wide — which is what lets
-        :meth:`refresh` repair one retrained VM's rows of a cached
-        operator without touching the rest.
-        """
+        tensor = self._stacked._tensor
         a, n = tensor.shape[0], self._stacked.n_states
         idx = np.arange(n)
         if self._stacked.two_dependent:
@@ -321,6 +230,7 @@ class FleetScorer:
             for _ in range(steps - 1):
                 dist = np.einsum("asc,acx->asx", dist, tensor)
             operator = dist
+        self._horizon_cache[steps] = operator
         return operator
 
     def score(
@@ -331,8 +241,11 @@ class FleetScorer:
         Each result is bitwise-identical to
         ``predictors[vm].predict(recent, steps)``.
         """
-        if not self.stacked or not all(
-            self.predictors[vm].vectorized for vm, _, _ in batch
+        vms = [vm for vm, _, _ in batch]
+        if (
+            self._fast is None
+            or not self._current(vms)
+            or not all(self.predictors[vm].vectorized for vm in vms)
         ):
             return [
                 self.predictors[vm].predict(recent, steps)
@@ -362,7 +275,9 @@ class FleetScorer:
         reduce the same contiguous 13-element rows the scalar
         ``log_odds`` path reduces.
         """
-        if not self.stacked:
+        if self._fast is None or not self._current(
+            vm for vm, _ in batch
+        ):
             return [
                 self.predictors[vm].classify_current(values)
                 for vm, values in batch

@@ -134,51 +134,6 @@ class BatchedAttributeChains:
             m._version == v for m, v in zip(self._models, self._versions)
         )
 
-    def restack(self, start: int, models: Sequence[MarkovModel]) -> None:
-        """Replace a contiguous run of chains with refit models.
-
-        The incremental-repair path for fleet-wide operators: when a
-        retrain swaps one VM's chains, only that VM's tensor rows are
-        re-snapshotted instead of rebuilding the whole stack.  The new
-        models must match the stack's variant and state count.
-
-        Raises :class:`ValueError` when the replacement cannot slot in
-        (different variant, state count, or untrained models) — the
-        caller should rebuild from scratch instead.
-        """
-        if start < 0 or start + len(models) > len(self._models):
-            raise ValueError(
-                f"restack [{start}, {start + len(models)}) outside "
-                f"0..{len(self._models)}"
-            )
-        for m in models:
-            if type(m) is not type(self._models[0]):
-                raise ValueError(
-                    f"variant mismatch: {type(m)} vs {type(self._models[0])}"
-                )
-            if m.n_states != self.n_states:
-                raise ValueError(
-                    f"n_states mismatch: {m.n_states} vs {self.n_states}"
-                )
-            if not m._trained:
-                raise ValueError("replacement chains must be trained")
-        n = self.n_states
-        stacked = np.stack([m.transition_matrix() for m in models])
-        if self.two_dependent:
-            self._tensor[start:start + len(models)] = stacked.reshape(
-                len(models), n, n, n
-            )
-        else:
-            self._tensor[start:start + len(models)] = stacked
-        all_models = list(self._models)
-        all_versions = list(self._versions)
-        all_models[start:start + len(models)] = models
-        all_versions[start:start + len(models)] = [
-            m._version for m in models
-        ]
-        self._models = tuple(all_models)
-        self._versions = tuple(all_versions)
-
     def predict_all(self, histories: np.ndarray, steps: int) -> np.ndarray:
         """Distributions for every attribute at every horizon.
 

@@ -98,8 +98,6 @@ class FabricConfig:
     batch_window: float = 0.002
     max_batch: int = 128
     max_pending: int = 1024
-    #: samples coalesced into one upstream ``batch`` line
-    forward_batch: int = MAX_BATCH_SAMPLES
     #: client-facing line/idle bounds (same semantics as ServiceConfig)
     max_line_bytes: int = 1 << 20
     read_timeout: float = 900.0
@@ -107,8 +105,6 @@ class FabricConfig:
     ready_timeout: float = 30.0
     #: deadline for control ops (drain/reset/hydration) per shard
     control_timeout: float = 60.0
-    #: virtual nodes per shard on the consistent-hash ring
-    ring_replicas: int = 64
     #: WAL auto-compaction factor (see ShardJournal)
     compact_factor: int = 8
     #: supervision policy
@@ -283,8 +279,7 @@ class ServingFabric:
             for vm, p in predictors.items()
         }
         del predictors  # workers load their own shard; router keeps meta
-        self._shard_of = shard_ring(
-            sorted(self._meta), cfg.n_workers, cfg.ring_replicas)
+        self._shard_of = shard_ring(sorted(self._meta), cfg.n_workers)
         retained = self._reshard_wals()
         for i in range(cfg.n_workers):
             vms = frozenset(
@@ -576,7 +571,6 @@ class ServingFabric:
 
     async def _sender(self, shard: _Shard, epoch: int) -> None:
         """Coalesce queued entries into upstream batch lines."""
-        cfg = self.config
         while shard.epoch == epoch and shard.state in (_UP, _PAUSED):
             await shard.send_wake.wait()
             shard.send_wake.clear()
@@ -585,8 +579,7 @@ class ServingFabric:
                 and shard.epoch == epoch
                 and shard.state in (_UP, _PAUSED)
             ):
-                n = min(len(shard.outq), cfg.forward_batch,
-                        MAX_BATCH_SAMPLES)
+                n = min(len(shard.outq), MAX_BATCH_SAMPLES)
                 entries = [shard.outq.popleft() for _ in range(n)]
                 iid = self._alloc_iid()
                 shard.inflight[iid] = {"entries": entries}

@@ -48,7 +48,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.fleet import FleetScorer, _FastTensors  # noqa: F401 - re-export
+from repro.core.fleet import FleetScorer
 from repro.core.predictor import AnomalyPredictor
 from repro.obs import NULL_OBS, Observability
 from repro.serve.alarms import AlarmManager

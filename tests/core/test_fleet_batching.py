@@ -5,9 +5,10 @@ through one :class:`repro.core.fleet.FleetScorer` call per tick.  These
 tests run complete experiments — with and without infrastructure chaos
 — under spies that check every fleet call against the per-VM pipeline
 (``AnomalyPredictor.predict`` / ``classify_current``) and the stacked
-deviation fallback against a per-VM z-score oracle, plus unit-level
-parity, randomized differential tests and incremental repair
-(``refresh``/``restack``) coverage for the scorer itself.
+deviation fallback against a per-VM z-score oracle, and that the
+controller rebuilds its scorer exactly when a model is trained or
+retired.  Unit-level parity, randomized differential tests and
+``refresh`` (the scorer's one build path) cover the scorer itself.
 """
 
 import numpy as np
@@ -65,15 +66,22 @@ def deviation_oracle(controller):
     }
 
 
+MODEL_EVENTS = ("model_trained", "model_retired")
+
+
 def _run_spied_cell(chaos=None):
     """Run a fleet8 cell, checking every fleet call against its oracle.
 
-    Returns the experiment result and how many items each spy checked.
+    Returns the experiment result, how many items each spy checked,
+    and one ``(scorer, model events so far, trained VMs)`` row per
+    :meth:`PrepareController._fleet_scorer` call.
     """
     checked = {"score": 0, "classify": 0, "deviation": 0}
+    scorers = []
     score = FleetScorer.score
     classify_batch = FleetScorer.classify_batch
     deviation = PrepareController._deviation_results
+    fleet_scorer = PrepareController._fleet_scorer
 
     def spy_score(self, batch):
         results = score(self, batch)
@@ -95,10 +103,18 @@ def _run_spied_cell(chaos=None):
         checked["deviation"] += len(results)
         return results
 
+    def spy_fleet_scorer(self, trained_names):
+        scorer = fleet_scorer(self, trained_names)
+        assert self.events.dropped == 0
+        events = sum(e.kind in MODEL_EVENTS for e in self.events)
+        scorers.append((scorer, events, tuple(trained_names)))
+        return scorer
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FleetScorer, "score", spy_score)
         mp.setattr(FleetScorer, "classify_batch", spy_classify)
         mp.setattr(PrepareController, "_deviation_results", spy_deviation)
+        mp.setattr(PrepareController, "_fleet_scorer", spy_fleet_scorer)
         result = run_experiment(ExperimentConfig(
             app="fleet8",
             fault=FaultKind.MEMORY_LEAK,
@@ -107,7 +123,20 @@ def _run_spied_cell(chaos=None):
             duration=1500.0,
             chaos=chaos,
         ))
-    return result, checked
+    return result, checked, scorers
+
+
+def _assert_rebuilt_at_model_events(scorers):
+    """The controller's scorer object changes exactly between two calls
+    that a ``model_trained`` / ``model_retired`` event separates, and
+    always covers the VMs trained at the call."""
+    for (prev, prev_events, _), (scorer, events, names) in zip(
+        scorers, scorers[1:]
+    ):
+        assert (scorer is prev) == (events == prev_events)
+        assert sorted(scorer.predictors) == sorted(names)
+    # Guard against a vacuous pass: the cell retrains mid-run.
+    assert len({id(scorer) for scorer, _, _ in scorers}) >= 2
 
 
 CHAOS = {
@@ -130,27 +159,33 @@ class TestControllerMatchesPerVmOracle:
     def test_clean_calls_match_oracle(self, clean):
         # The spies assert parity at every call; here we only guard
         # against a vacuous pass.
-        _, checked = clean
+        _, checked, _ = clean
         assert checked["score"] > 0
         assert checked["classify"] > 0
         assert checked["deviation"] > 0
 
+    def test_clean_scorer_rebuilt_at_model_events(self, clean):
+        _assert_rebuilt_at_model_events(clean[2])
+
     def test_clean_run_acts(self, clean):
         # Guard against vacuous equality: the cell must actually
         # exercise the predictive path.
-        result, _ = clean
+        result, _, _ = clean
         assert result.actions
         assert result.proactive_actions >= 1
 
     def test_chaos_calls_match_oracle(self, chaotic):
-        _, checked = chaotic
+        _, checked, _ = chaotic
         assert checked["score"] > 0
         assert checked["deviation"] > 0
+
+    def test_chaos_scorer_rebuilt_at_model_events(self, chaotic):
+        _assert_rebuilt_at_model_events(chaotic[2])
 
     def test_chaos_run_degraded_inputs(self, chaotic):
         # The chaos cell must actually stress the sanitize/imputation
         # path the batched stages consume.
-        result, _ = chaotic
+        result, _, _ = chaotic
         assert result.resilience is not None
 
 
@@ -195,8 +230,8 @@ class TestClassifyBatchParity:
             _assert_result_equal(got, predictors[vm].classify_current(values))
 
 
-class TestIncrementalRefresh:
-    def test_refresh_repairs_refit_vm(self):
+class TestRefresh:
+    def test_refresh_restacks_refit_vm(self):
         predictors, traces = _make_fleet()
         scorer = FleetScorer(predictors)
         batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
@@ -233,20 +268,25 @@ class TestIncrementalRefresh:
                 got, predictors[vm].classify_current(values_row)
             )
 
-    def test_refresh_reports_in_place_chain_update(self):
-        """A chain updated in place keeps its identity, so refresh
-        cannot locate it: it must report False (rebuild) while the
-        scorer keeps answering per-VM-exact through the sequential
-        tier."""
+    def test_refresh_picks_up_in_place_chain_update(self):
+        """A chain updated in place keeps its ``value_models`` list, so
+        the per-VM staleness check does not see it; ``refresh`` re-
+        stacks it and the fast tier is per-VM-exact again."""
         predictors, traces = _make_fleet(n_vms=3)
         scorer = FleetScorer(predictors)
         batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
         scorer.score(batch)
         predictors["vm1"].value_models[0].update([0, 1, 2, 3, 2, 1])
-        assert not scorer.stacked
-        assert scorer.refresh() is False
+        assert scorer.stacked  # the in-place update goes unnoticed
+        assert scorer.refresh() is True
+        assert scorer.stacked
         for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
-            _assert_result_equal(got, predictors[vm].predict(recent, steps))
+            assert_bitwise(got, predictors[vm].predict(recent, steps))
+        observed = [(vm, recent[-1]) for vm, recent, _ in batch]
+        for (vm, values), got in zip(
+            observed, scorer.classify_batch(observed)
+        ):
+            assert_bitwise(got, predictors[vm].classify_current(values))
 
     def test_refresh_refuses_untrained_replacement(self):
         predictors, _ = _make_fleet(n_vms=3)
@@ -257,7 +297,9 @@ class TestIncrementalRefresh:
         scorer.predictors["vm1"] = AnomalyPredictor(
             [f"m{i}" for i in range(N_ATTRS)], n_bins=6, markov="2dep"
         )
-        assert scorer.refresh() is False
+        assert not scorer.stacked
+        with pytest.raises(ValueError, match="'vm1' is not trained"):
+            scorer.refresh()
 
     def test_refresh_without_stack_is_false(self):
         # Mixed chain variants cannot stack into one fleet operator;
@@ -274,42 +316,6 @@ class TestIncrementalRefresh:
         scorer = FleetScorer({"vm0": p2dep, "vm1": simple})
         assert not scorer.stacked
         assert scorer.refresh() is False
-
-
-class TestRestackValidation:
-    def test_rejects_out_of_range(self):
-        predictors, _ = _make_fleet(n_vms=2)
-        scorer = FleetScorer(predictors)
-        chains = scorer._stacked
-        with pytest.raises(ValueError, match="outside"):
-            chains.restack(
-                len(chains._models), predictors["vm0"].value_models
-            )
-
-    def test_rejects_untrained_models(self):
-        from repro.core.markov import TwoDependentMarkovModel
-
-        predictors, _ = _make_fleet(n_vms=2)
-        scorer = FleetScorer(predictors)
-        n_states = scorer.n_states
-        untrained = [TwoDependentMarkovModel(n_states)]
-        with pytest.raises(ValueError, match="trained"):
-            scorer._stacked.restack(0, untrained)
-
-    def test_rejects_state_count_mismatch(self):
-        predictors, _ = _make_fleet(n_vms=2)
-        scorer = FleetScorer(predictors)
-        # A fleet trained with a different bin count has a different
-        # chain state space.
-        small = AnomalyPredictor(
-            [f"m{i}" for i in range(N_ATTRS)], n_bins=4, markov="2dep"
-        )
-        rng = np.random.default_rng(5)
-        values = np.cumsum(rng.normal(size=(200, N_ATTRS)), axis=0)
-        labels = (rng.random(200) < 0.3).astype(int)
-        small.train(values, labels)
-        with pytest.raises(ValueError, match="n_states"):
-            scorer._stacked.restack(0, small.value_models)
 
 
 class TestServeImportCompat:
